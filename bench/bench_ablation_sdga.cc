@@ -1,8 +1,8 @@
 // Ablation (DESIGN.md §5): (1) the per-stage workload confinement ⌈δr/δp⌉
 // that SDGA's approximation proof relies on — disabling it lets early
 // stages exhaust the strongest reviewers; (2) the LAP backend (min-cost
-// flow vs Hungarian with replicated columns), which must agree on the
-// objective and differ only in speed.
+// flow vs the capacitated Jonker–Volgenant "hungarian" backend), which
+// must agree on the objective and differ only in speed.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -30,7 +30,8 @@ int main() {
                        watch.ElapsedSeconds());
     };
     core::SdgaOptions confined_flow;
-    core::SdgaOptions unconfined_flow;
+    confined_flow.backend = core::LapBackend::kMinCostFlow;
+    core::SdgaOptions unconfined_flow = confined_flow;
     unconfined_flow.confine_stage_workload = false;
     core::SdgaOptions confined_hungarian;
     confined_hungarian.backend = core::LapBackend::kHungarian;

@@ -269,11 +269,13 @@ BENCHMARK(BM_Transportation)->Arg(100)->Arg(400);
 
 // The interchangeable stage-LAP backends head-to-head on one instance
 // shape (agents = tasks/4, capacity 5 — the BM_Transportation shape).
-// Args: {tasks, backend, forbidden%} with backend 0 = min-cost flow,
-// 1 = Hungarian with column replication, 2 = ε-scaling auction,
-// 3 = auction with top-16 pruning + exactness guard (re-solves wider if
-// the duals cannot certify the pruned optimum). All four return the same
-// optimum; only wall-clock differs. forbidden% sweeps candidate density.
+// Args: {tasks, backend, forbidden%} with backend 0 = min-cost flow
+// network (SolveTransportationWithDemand, demand 1), 1 = capacitated
+// Jonker–Volgenant (SolveTransportation, the default stage solver),
+// 2 = ε-scaling auction, 3 = auction with top-16 pruning + exactness
+// guard (re-solves wider if the duals cannot certify the pruned optimum).
+// All four return the same optimum; only wall-clock differs. forbidden%
+// sweeps candidate density.
 void BM_LapBackends(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   const int backend = static_cast<int>(state.range(1));
@@ -292,26 +294,13 @@ void BM_LapBackends(benchmark::State& state) {
   for (auto _ : state) {
     switch (backend) {
       case 0: {
-        auto result = la::SolveTransportation(profit, capacity);
+        auto result =
+            la::SolveTransportationWithDemand(profit, capacity, /*demand=*/1);
         benchmark::DoNotOptimize(result);
         break;
       }
       case 1: {
-        std::vector<int> column_owner;
-        for (int a = 0; a < agents; ++a) {
-          for (int c = 0; c < std::min(capacity[a], tasks); ++c) {
-            column_owner.push_back(a);
-          }
-        }
-        Matrix expanded(tasks, static_cast<int>(column_owner.size()));
-        for (int t = 0; t < tasks; ++t) {
-          for (size_t c = 0; c < column_owner.size(); ++c) {
-            const double v = profit.At(t, column_owner[c]);
-            expanded(t, static_cast<int>(c)) =
-                v <= la::kTransportForbidden / 2 ? la::kForbiddenProfit : v;
-          }
-        }
-        auto result = la::SolveMaxProfitAssignment(expanded);
+        auto result = la::SolveTransportation(profit, capacity);
         benchmark::DoNotOptimize(result);
         break;
       }

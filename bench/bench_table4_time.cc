@@ -2,8 +2,9 @@
 // the Databases and Data Mining 2008 conferences, for δ = 3 and δ = 5.
 // Pass "--threads N" to fan the BRGG/SDGA/SDGA-SRA hot paths across N
 // workers (identical output, per the determinism contract),
-// "--lap mcf|hungarian|auction [--lap-topk K]" to pick the stage-LAP
-// engine of ILP/SDGA/SDGA-SRA, and "--gains rebuild|incremental" to pick
+// "--lap hungarian|mcf|auction [--lap-topk K]" to pick the stage-LAP
+// engine of SDGA/SDGA-SRA (default hungarian, the capacitated
+// Jonker–Volgenant solver; ILP runs mcf unless auction), and "--gains rebuild|incremental" to pick
 // the stage-profit maintenance mode (identical output; incremental
 // delta-patches instead of rebuilding P×R per stage) — the comparisons
 // are recorded in bench/BASELINES.md.
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
   using namespace wgrap;
   int num_threads = 1;
   int lap_topk = 0;
-  core::LapBackend lap_backend = core::LapBackend::kMinCostFlow;
-  const char* lap_name = "mcf";
+  core::LapBackend lap_backend = core::LapBackend::kHungarian;
+  const char* lap_name = "hungarian";
   core::GainMode gains = core::GainMode::kIncremental;
   const char* gains_name = "incremental";
   for (int i = 1; i + 1 < argc; ++i) {
@@ -61,8 +62,9 @@ int main(int argc, char** argv) {
               kSraBudgetSeconds, num_threads, num_threads == 1 ? "" : "s",
               lap_name, lap_topk, gains_name);
   if (lap_backend == core::LapBackend::kHungarian) {
-    std::printf("(note: lap=hungarian applies to the SDGA stage LAPs; "
-                "the ILP column runs min-cost flow)\n\n");
+    std::printf("(note: lap=hungarian, the capacitated Jonker-Volgenant "
+                "solver, applies to the SDGA and SRA stage LAPs; the ILP "
+                "column's demand-dp solve runs min-cost flow)\n\n");
   }
 
   TablePrinter table({"dataset", "SM", "ILP", "BRGG", "Greedy", "SDGA",

@@ -56,9 +56,10 @@ std::vector<CraMethod> PaperCraMethods(int num_threads,
        [num_threads, lap_backend](const core::Instance& instance, double) {
          core::IlpArapOptions ilp;
          ilp.num_threads = num_threads;
-         // ILP's demand-δp solve supports mcf and auction only; for
-         // lap=hungarian the column honestly runs mcf (the caller's
-         // banner notes this) rather than mislabeling the timing.
+         // ILP's demand-δp solve supports mcf and auction only (the
+         // Jonker–Volgenant backend is demand 1); for lap=hungarian the
+         // column honestly runs mcf (the caller's banner notes this)
+         // rather than mislabeling the timing.
          ilp.backend = lap_backend == core::LapBackend::kAuction
                            ? core::LapBackend::kAuction
                            : core::LapBackend::kMinCostFlow;

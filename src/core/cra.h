@@ -81,19 +81,25 @@ enum class GainMode {
   kIncremental,
 };
 
-/// LAP backend used by each SDGA stage (and the SRA completion step).
+/// LAP backend used by each SDGA stage (and the SRA completion step). All
+/// three solve the same scaled integer program (la/transportation.h) to
+/// the same stage objective; on tied optima the chosen reviewers may
+/// differ.
 enum class LapBackend {
-  kMinCostFlow,  // transportation network, default
-  kHungarian,    // reviewer columns replicated per unit of stage capacity
+  kMinCostFlow,  // min-cost flow network over all P×R pair edges
+                 // (la::SolveTransportationWithDemand, demand 1)
+  kHungarian,    // capacitated Jonker–Volgenant shortest augmenting paths
+                 // (la::SolveTransportation), default: dense int64 rows,
+                 // no column replication; 14–18× faster than kMinCostFlow
+                 // on SDGA over DB08/DM08 (bench/BASELINES.md)
   kAuction,      // parallel ε-scaling auction (la/auction.h): capacity-
-                 // aware (no column replication), bidding rounds fan out
-                 // over the thread pool, optionally pruned to the top-K
-                 // gains per paper with an exactness guard — same optimum
-                 // as kMinCostFlow, bit-identical at any thread count
+                 // aware, bidding rounds fan out over the thread pool,
+                 // optionally pruned to the top-K gains per paper with an
+                 // exactness guard — bit-identical at any thread count
 };
 
 struct SdgaOptions : CraOptions {
-  LapBackend backend = LapBackend::kMinCostFlow;
+  LapBackend backend = LapBackend::kHungarian;
   /// Stage-profit maintenance mode; kIncremental is the default because it
   /// is bit-identical to kRebuild and never meaningfully slower (on dense
   /// instances the changed-topic columns cover every reviewer and the two
@@ -114,16 +120,6 @@ struct SdgaOptions : CraOptions {
   double lap_epsilon = 0.0;
 };
 
-/// Scratch reused across per-stage LAP solves — most importantly the
-/// Hungarian column-replication matrix, which used to be reallocated for
-/// every stage (an R×⌈δr/δp⌉-column buffer). Owned by the solver loop
-/// (SDGA's δp stages, SRA's refinement rounds) and threaded through to the
-/// stage engine; a default-constructed workspace is valid.
-struct StageWorkspace {
-  Matrix hungarian_expanded;
-  std::vector<int> hungarian_column_owner;
-};
-
 /// Progress callback: (elapsed seconds, best objective so far). Used by the
 /// refinement-over-time experiments (Fig. 12, Fig. 16).
 using RefineTrace = std::function<void(double, double)>;
@@ -131,7 +127,7 @@ using RefineTrace = std::function<void(double, double)>;
 struct SraOptions : CraOptions {
   /// LAP backend for the per-round completion step (same machinery as the
   /// SDGA stages).
-  LapBackend backend = LapBackend::kMinCostFlow;
+  LapBackend backend = LapBackend::kHungarian;
   /// Auction-backend pruning/ε knobs; same semantics as SdgaOptions.
   int lap_topk = 0;
   double lap_epsilon = 0.0;

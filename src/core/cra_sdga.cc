@@ -10,9 +10,11 @@
 //
 // Three interchangeable LAP backends solve the stage (all find the same
 // optimum of the same scaled integer program):
-//   kMinCostFlow — dense transportation network, sequential.
-//   kHungarian   — reviewer columns replicated per unit of stage capacity
-//                  into a scratch matrix reused across stages.
+//   kHungarian   — capacitated Jonker–Volgenant shortest augmenting paths
+//                  (la::SolveTransportation), the default: dense int64
+//                  rows, no column replication.
+//   kMinCostFlow — min-cost flow network over all P×R pair edges (the
+//                  reference the others are tested against).
 //   kAuction     — parallel ε-scaling auction on a CSR candidate set,
 //                  optionally pruned to the top-K gains per paper. Pruning
 //                  is guarded for exactness: if the auction's final duals
@@ -20,6 +22,8 @@
 //                  pruned graph is infeasible), K widens and the stage
 //                  re-solves, so the returned stage assignment is the
 //                  same optimum the dense backends find.
+// On tied stage optima the backends may pick different reviewers; the
+// stage objective is the same.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -32,78 +36,21 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "la/auction.h"
-#include "la/hungarian.h"
 #include "la/transportation.h"
 
 namespace wgrap::core {
 
 namespace {
 
-// Hard cap on the Hungarian replication buffer (cells). δr values that
-// would blow past it (possible with confine_stage_workload off and a huge
-// workload) are a configuration error for this backend — the capacity-
-// aware backends handle them natively.
-constexpr int64_t kMaxHungarianCells = 200'000'000;
-
 Status SolveStageMinCostFlow(const Matrix& stage_profit,
                              const std::vector<int>& capacity,
                              std::vector<int>* chosen_agent) {
-  auto solved = la::SolveTransportation(stage_profit, capacity);
+  auto solved = la::SolveTransportationWithDemand(stage_profit, capacity,
+                                                  /*demand=*/1);
   if (!solved.ok()) return solved.status();
-  *chosen_agent = std::move(solved->task_to_agent);
-  return Status::OK();
-}
-
-Status SolveStageHungarian(const Matrix& stage_profit,
-                           const std::vector<int>& capacity,
-                           StageWorkspace* workspace,
-                           std::vector<int>* chosen_agent) {
-  const int rows = stage_profit.rows();
-  const int R = stage_profit.cols();
-  // Replicate each reviewer column once per unit of capacity — clamped to
-  // the paper count, since a stage assigns at most one paper per column
-  // set and extra replicas could never carry flow. This bounds the buffer
-  // at rows × (R·rows) no matter how pathological δr is.
-  std::vector<int>& column_owner = workspace->hungarian_column_owner;
-  column_owner.clear();
-  for (int r = 0; r < R; ++r) {
-    const int replicas = std::min(capacity[r], rows);
-    for (int c = 0; c < replicas; ++c) column_owner.push_back(r);
-  }
-  const int cols = static_cast<int>(column_owner.size());
-  if (cols < rows) {
-    return Status::Infeasible("stage capacity below paper count");
-  }
-  if (static_cast<int64_t>(rows) * cols > kMaxHungarianCells) {
-    return Status::InvalidArgument(
-        "Hungarian column replication would exceed the scratch budget; "
-        "use the mcf or auction backend for this workload");
-  }
-  Matrix& expanded = workspace->hungarian_expanded;
-  if (expanded.rows() != rows || expanded.cols() != cols) {
-    expanded = Matrix(rows, cols);  // reused across stages once sized
-  }
-  for (int i = 0; i < rows; ++i) {
-    for (int c = 0; c < cols; ++c) {
-      const double v = stage_profit(i, column_owner[c]);
-      if (v <= la::kTransportForbidden / 2) {
-        expanded(i, c) = la::kForbiddenProfit;
-        continue;
-      }
-      // Quantize to the shared 1e9-scaled grid before the double-domain
-      // Hungarian runs, so every stage backend — and both gain modes,
-      // whose profits can differ below the quantum (GainCache stores the
-      // scaled integers) — solves literally the same integer program.
-      WGRAP_RETURN_IF_ERROR(la::ValidateTransportProfit(v));
-      expanded(i, c) = static_cast<double>(la::ScaleTransportProfit(v)) /
-                       la::kTransportProfitScale;
-    }
-  }
-  auto solved = la::SolveMaxProfitAssignment(expanded);
-  if (!solved.ok()) return solved.status();
-  chosen_agent->resize(rows);
-  for (int i = 0; i < rows; ++i) {
-    (*chosen_agent)[i] = column_owner[solved->row_to_col[i]];
+  chosen_agent->resize(stage_profit.rows());
+  for (int i = 0; i < stage_profit.rows(); ++i) {
+    (*chosen_agent)[i] = solved->task_to_agents[i][0];
   }
   return Status::OK();
 }
@@ -127,6 +74,38 @@ Status SolveStageAuction(const Matrix& stage_profit,
   return Status::OK();
 }
 
+// The stage LAP on `options.backend`.
+Status SolveStageLap(const Matrix& stage_profit,
+                     const std::vector<int>& capacity,
+                     const SdgaOptions& options, ThreadPool* pool,
+                     std::vector<int>* chosen_agent) {
+  switch (options.backend) {
+    case LapBackend::kMinCostFlow:
+      return SolveStageMinCostFlow(stage_profit, capacity, chosen_agent);
+    case LapBackend::kHungarian: {
+      auto solved = la::SolveTransportation(stage_profit, capacity);
+      if (!solved.ok()) return solved.status();
+      *chosen_agent = std::move(solved->task_to_agent);
+      return Status::OK();
+    }
+    case LapBackend::kAuction:
+      break;
+  }
+  Status solved = SolveStageAuction(stage_profit, capacity, options.lap_topk,
+                                    options.lap_epsilon, pool, chosen_agent);
+  if (solved.ok() || solved.code() != StatusCode::kFailedPrecondition) {
+    return solved;
+  }
+  // Outside the auction's integer price domain — same optimum via the
+  // flow backend. The fallback is counted: it used to be fully silent,
+  // which hid auction-budget exhaustion from benchmarks (`wgrap_cli solve
+  // --verbose` surfaces the count).
+  static obs::Counter* const fallbacks = obs::Registry::Global().GetCounter(
+      "wgrap_lap_auction_fallbacks_total");
+  if (fallbacks) fallbacks->Add();
+  return SolveStageMinCostFlow(stage_profit, capacity, chosen_agent);
+}
+
 // One SDGA stage: assigns one reviewer to every paper, maximizing summed
 // marginal gain, respecting per-stage capacities. Shared with the SRA
 // completion step (cra_sra.cc) via SolveStageAssignment. With `cache`
@@ -138,8 +117,7 @@ Status SolveStageAuction(const Matrix& stage_profit,
 // integer program, so the stage outcome is identical (gain_cache.h).
 Status RunStage(const Instance& instance, const std::vector<int>& capacity,
                 const SdgaOptions& options, ThreadPool* pool,
-                StageWorkspace* workspace, GainCache* cache,
-                Assignment* assignment) {
+                GainCache* cache, Assignment* assignment) {
   const int P = instance.num_papers();
   const int R = instance.num_reviewers();
 
@@ -181,34 +159,11 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
   }
 
   std::vector<int> chosen_agent;
-  Status solved = Status::OK();
-  switch (options.backend) {
-    case LapBackend::kMinCostFlow:
-      solved = SolveStageMinCostFlow(stage_profit, capacity, &chosen_agent);
-      break;
-    case LapBackend::kHungarian:
-      solved = SolveStageHungarian(stage_profit, capacity, workspace,
-                                   &chosen_agent);
-      break;
-    case LapBackend::kAuction:
-      solved = SolveStageAuction(stage_profit, capacity, options.lap_topk,
-                                 options.lap_epsilon, pool, &chosen_agent);
-      if (!solved.ok() &&
-          solved.code() == StatusCode::kFailedPrecondition) {
-        // Outside the auction's integer price domain — same optimum via
-        // the flow backend. The fallback is counted: it used to be fully
-        // silent, which hid auction-budget exhaustion from benchmarks
-        // (`wgrap_cli solve --verbose` surfaces the count).
-        static obs::Counter* const fallbacks =
-            obs::Registry::Global().GetCounter(
-                "wgrap_lap_auction_fallbacks_total");
-        if (fallbacks) fallbacks->Add();
-        solved =
-            SolveStageMinCostFlow(stage_profit, capacity, &chosen_agent);
-      }
-      break;
+  {
+    obs::ScopedSpan lap_span("stage_lap");
+    WGRAP_RETURN_IF_ERROR(
+        SolveStageLap(stage_profit, capacity, options, pool, &chosen_agent));
   }
-  WGRAP_RETURN_IF_ERROR(solved);
   for (size_t i = 0; i < papers_needing.size(); ++i) {
     WGRAP_RETURN_IF_ERROR(
         assignment->Add(papers_needing[i], chosen_agent[i]));
@@ -223,16 +178,13 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
 
 // Exposed for cra_sra.cc (declared there): completes an assignment where
 // every paper is missing at most one reviewer. `lap` carries the backend
-// plus the auction pruning/ε knobs; `workspace` persists stage scratch and
-// `cache` (may be null for gains=rebuild) the delta-maintained profits
-// across calls.
+// plus the auction pruning/ε knobs and `cache` (may be null for
+// gains=rebuild) the delta-maintained profits across calls.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
                             const SdgaOptions& lap, ThreadPool* pool,
-                            StageWorkspace* workspace, GainCache* cache,
-                            Assignment* assignment) {
-  return RunStage(instance, capacity, lap, pool, workspace, cache,
-                  assignment);
+                            GainCache* cache, Assignment* assignment) {
+  return RunStage(instance, capacity, lap, pool, cache, assignment);
 }
 
 Result<Assignment> SolveCraSdga(const Instance& instance,
@@ -245,7 +197,6 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
   const int dr = instance.reviewer_workload();
   const int stage_cap = (dr + dp - 1) / dp;  // ⌈δr/δp⌉
   ThreadPool pool(options.num_threads);
-  StageWorkspace workspace;  // scratch shared by all δp stages
   // gains=incremental: one cache lives across the δp stages — stage k
   // patches only the entries stage k-1's commits actually changed.
   std::unique_ptr<GainCache> cache;
@@ -268,7 +219,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
                         : remaining_total;
     }
     Status stage_status = RunStage(instance, capacity, options, &pool,
-                                   &workspace, cache.get(), &assignment);
+                                   cache.get(), &assignment);
     if (!stage_status.ok() &&
         stage_status.code() == StatusCode::kInfeasible &&
         options.confine_stage_workload) {
@@ -280,7 +231,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
       // committed nothing, so the gain cache needs no rollback.)
       for (int r = 0; r < R; ++r) capacity[r] = dr - assignment.LoadOf(r);
       stage_status = RunStage(instance, capacity, options, &pool,
-                              &workspace, cache.get(), &assignment);
+                              cache.get(), &assignment);
     }
     WGRAP_RETURN_IF_ERROR(stage_status);
     static obs::Histogram* const stage_seconds =

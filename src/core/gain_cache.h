@@ -19,9 +19,9 @@
 //
 // The int64 domain: what the cache maintains exactly is the stage integer
 // program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) every
-// stage backend optimizes (min-cost flow and the auction scale their
-// inputs; the stage Hungarian quantizes to the same grid — cra_sdga.cc —
-// so there is exactly one integer program per stage in both gain modes).
+// stage backend optimizes (Jonker–Volgenant, min-cost flow and the
+// auction all scale their inputs through it, so there is exactly one
+// integer program per stage in both gain modes).
 // Maintenance in the rounded domain cannot be arithmetic (llround is not
 // additive — llround(a+b) ≠ llround(a)+llround(b)), so the cache keeps
 // the pre-quantization doubles, whose bit-exactness (above) makes the

@@ -264,17 +264,21 @@ KnobSpec LapKnob() {
   KnobSpec s;
   s.name = "lap";
   s.type = KnobType::kEnum;
-  s.default_value = "mcf";
-  s.doc = "LAP backend for the per-stage linear-assignment solves";
+  s.default_value = "hungarian";
+  s.doc =
+      "LAP backend for the per-stage linear-assignment solves (hungarian = "
+      "capacitated Jonker-Volgenant; mcf = min-cost flow network)";
   s.enum_values = {"mcf", "hungarian", "auction"};
   return s;
 }
 
-// ilp's single transportation solve supports min-cost flow and the auction
-// but not the column-replicating Hungarian backend — its schema says so
-// instead of rejecting 'hungarian' deep inside the factory.
+// ilp's single transportation solve has demand dp > 1, which the
+// Jonker-Volgenant backend (demand 1 only) does not cover — its schema
+// offers min-cost flow (the default) and the auction instead of rejecting
+// 'hungarian' deep inside the factory.
 KnobSpec IlpLapKnob() {
   KnobSpec s = LapKnob();
+  s.default_value = "mcf";
   s.doc = "backend for the demand-dp transportation solve";
   s.enum_values = {"mcf", "auction"};
   return s;
@@ -398,7 +402,7 @@ std::vector<KnobSpec> SraPipelineKnobs() {
 // enforced here because KnobSpec is per-knob.
 struct PipelineKnobs {
   int threads = 1;
-  LapBackend backend = LapBackend::kMinCostFlow;
+  LapBackend backend = SdgaOptions{}.backend;
   int lap_topk = 0;
   double lap_epsilon = 0.0;
   GainMode gains = SdgaOptions{}.gains;
@@ -409,7 +413,10 @@ struct PipelineKnobs {
   bool bba_gain_branching = BbaOptions{}.use_gain_branching;
 };
 
-Result<PipelineKnobs> ParsePipelineKnobs(const SolverRunOptions& options) {
+// `lap_knob` supplies the default of the "lap" knob: the stage solvers
+// and ilp declare different ones.
+Result<PipelineKnobs> ParsePipelineKnobs(const SolverRunOptions& options,
+                                         const KnobSpec& lap_knob = LapKnob()) {
   PipelineKnobs knobs;
   auto threads = options.ExtraInt("threads", knobs.threads);
   if (!threads.ok()) return threads.status();
@@ -419,7 +426,7 @@ Result<PipelineKnobs> ParsePipelineKnobs(const SolverRunOptions& options) {
     return Status::InvalidArgument("option 'threads' must be in [1, 256]");
   }
   knobs.threads = *threads;
-  const std::string lap = options.ExtraString("lap", "mcf");
+  const std::string lap = options.ExtraString("lap", lap_knob.default_value);
   if (lap == "mcf") {
     knobs.backend = LapBackend::kMinCostFlow;
   } else if (lap == "hungarian") {
@@ -660,7 +667,7 @@ SolverRegistry BuildDefaultRegistry() {
           {ThreadsKnob(), IlpLapKnob(), LapEpsilonKnob(), TopicsKnob()},
           [](const Instance& instance,
              const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
+            auto knobs = ParsePipelineKnobs(options, IlpLapKnob());
             WGRAP_RETURN_IF_ERROR(knobs.status());
             // Defensive: the declared schema (IlpLapKnob) already rejects
             // 'hungarian' at dispatch; keep the factory honest for direct

@@ -1,9 +1,9 @@
 // Bertsekas ε-scaling auction for the capacitated max-profit assignment
 // ("transportation") problem — the third LAP backend behind SDGA's stages
-// (Sec. 4.2 stage subproblem) next to min-cost flow and the Hungarian
-// algorithm. Unlike the Hungarian backend it is capacity-aware: reviewer r
-// offers `capacity[r]` identical slots directly (Bertsekas–Castañón
-// "similar objects"), so no column replication is ever materialized.
+// (Sec. 4.2 stage subproblem) next to min-cost flow and the capacitated
+// Jonker–Volgenant solver. It is capacity-aware: reviewer r offers
+// `capacity[r]` identical slots directly (Bertsekas–Castañón "similar
+// objects"), so no column replication is ever materialized.
 //
 // The auction runs Jacobi-style bidding rounds: every unassigned task
 // computes its bid against a snapshot of the slot prices (fanned out over

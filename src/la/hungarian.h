@@ -1,8 +1,9 @@
 // Hungarian algorithm (Kuhn–Munkres with Jonker–Volgenant style shortest
 // augmenting paths and dual potentials) for the rectangular linear
-// assignment problem. This is one of the two LAP backends the paper's SDGA
-// can use per stage (Sec. 4.2 mentions the Hungarian algorithm and
-// min-cost flow interchangeably).
+// assignment problem in doubles, one column per unit of capacity. SDGA's
+// stages use the capacitated int64 form in la/transportation.h instead;
+// this one is the unit-capacity reference the transportation and LAP
+// equivalence tests compare against.
 #ifndef WGRAP_LA_HUNGARIAN_H_
 #define WGRAP_LA_HUNGARIAN_H_
 

@@ -188,6 +188,39 @@ TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndMalformedDescriptors) {
   EXPECT_EQ(registry.Register(unnamed).code(), StatusCode::kInvalidArgument);
 }
 
+// The "lap" knob's default differs per solver: the stage pipelines take
+// the library default (SdgaOptions{}.backend, the Jonker–Volgenant
+// solver), while ilp, whose demand-dp solve has no such backend, keeps
+// min-cost flow. Omitting the knob must equal passing each default.
+TEST(SolverRegistryTest, LapKnobDefaultsFollowEachSolver) {
+  const auto& registry = core::SolverRegistry::Default();
+  const core::Instance instance = TinyInstance();
+  ASSERT_EQ(core::SdgaOptions{}.backend, core::LapBackend::kHungarian);
+  ASSERT_EQ(core::SraOptions{}.backend, core::LapBackend::kHungarian);
+  for (const auto& [algo, lap] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"sdga", "hungarian"}, {"sdga-sra", "hungarian"},
+           {"ilp", "mcf"}}) {
+    SCOPED_TRACE(algo);
+    core::SolverRunOptions implicit;
+    core::SolverRunOptions explicit_lap;
+    explicit_lap.extra["lap"] = lap;
+    auto a = registry.SolveCra(algo, instance, implicit);
+    auto b = registry.SolveCra(algo, instance, explicit_lap);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    for (int p = 0; p < instance.num_papers(); ++p) {
+      EXPECT_EQ(a->GroupFor(p), b->GroupFor(p)) << "paper " << p;
+    }
+  }
+  auto library = core::SolveCraSdga(instance);
+  auto registry_sdga = registry.SolveCra("sdga", instance, {});
+  ASSERT_TRUE(library.ok() && registry_sdga.ok());
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    EXPECT_EQ(library->GroupFor(p), registry_sdga->GroupFor(p));
+  }
+}
+
 TEST(SolverRegistryTest, ExtraKnobsAreThreadedThrough) {
   const auto& registry = core::SolverRegistry::Default();
   const core::Instance instance = TinyInstance();

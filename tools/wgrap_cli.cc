@@ -13,7 +13,7 @@
 //   wgrap_cli generate  --pool 300 --papers 50 --out pool.csv
 //   wgrap_cli solve     --dataset d.csv --dp 3 [--dr N] [--algo sdga-sra]
 //                       [--scoring c|cR|cP|cD] [--budget secs] [--seed S]
-//                       [--threads N] [--lap mcf|hungarian|auction]
+//                       [--threads N] [--lap hungarian|mcf|auction]
 //                       [--lap-topk K] [--lap-epsilon E]
 //                       [--sra-omega W] [--sra-lambda L]
 //                       [--topics dense|sparse]
@@ -367,7 +367,9 @@ int CmdSolve(const Flags& flags) {
     } else {
       obs::Registry& metrics = obs::Registry::Global();
       for (const char* name :
-           {"wgrap_lap_auction_fallbacks_total",
+           {"wgrap_lap_augmentations_total",
+            "wgrap_lap_settled_agents_total",
+            "wgrap_lap_auction_fallbacks_total",
             "wgrap_lap_auction_phases_total", "wgrap_lap_auction_rounds_total",
             "wgrap_lap_auction_bids_total", "wgrap_lap_auction_widen_total",
             "wgrap_lap_auction_reverse_sweeps_total",
