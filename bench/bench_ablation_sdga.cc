@@ -25,9 +25,10 @@ int main() {
       Stopwatch watch;
       auto assignment = core::SolveCraSdga(setup.instance, options);
       bench::DieOnError(assignment.status(), "SDGA");
-      return StrFormat("%.2f%% in %.1fs",
-                       100.0 * core::OptimalityRatio(*assignment, *ideal),
-                       watch.ElapsedSeconds());
+      return StrFormat(
+          "%.2f%% in %.1fs",
+          100.0 * core::OptimalityRatio(*assignment, *ideal).value(),
+          watch.ElapsedSeconds());
     };
     core::SdgaOptions confined_flow;
     confined_flow.backend = core::LapBackend::kMinCostFlow;

@@ -30,12 +30,13 @@ int main() {
       options.convergence_window = 1000;  // spend the full budget
       auto refined = core::RefineSra(setup.instance, *sdga, options);
       bench::DieOnError(refined.status(), "SRA");
-      return StrFormat("%.2f%%",
-                       100.0 * core::OptimalityRatio(*refined, *ideal));
+      return StrFormat(
+          "%.2f%%", 100.0 * core::OptimalityRatio(*refined, *ideal).value());
     };
     table.AddRow({bench::DatasetLabel(area, 2008),
-                  StrFormat("%.2f%%",
-                            100.0 * core::OptimalityRatio(*sdga, *ideal)),
+                  StrFormat(
+                      "%.2f%%",
+                      100.0 * core::OptimalityRatio(*sdga, *ideal).value()),
                   run(false), run(true)});
   }
   table.Print();

@@ -37,8 +37,9 @@ int main() {
       bench::DieOnError(refined.status(), "SRA");
       table.AddRow({std::to_string(omega),
                     TablePrinter::Num(
-                        100.0 * core::OptimalityRatio(*refined, *ideal), 2) +
-                        "%",
+                        100.0 *
+                            core::OptimalityRatio(*refined, *ideal).value(),
+                        2) + "%",
                     TablePrinter::Num(watch.ElapsedSeconds(), 1)});
     }
     table.Print();

@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the substrates the WGRAP solvers
-// stand on: weighted-coverage scoring, marginal gain, Hungarian, min-cost
+// stand on: weighted-coverage scoring, marginal gain, the ideal bound
+// c(AI) (BM_IdealAssignment), Hungarian, min-cost
 // transportation, BBA, one SDGA stage, the dense-vs-CSR scoring-kernel
 // density sweeps (BM_SparseVsDense*), the rebuild-vs-incremental
 // stage-profit maintenance sweep (BM_GainCacheVsRebuild), and the
@@ -7,6 +8,8 @@
 // ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
 // scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*).
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
@@ -208,34 +211,6 @@ void BM_KernelTopTwoScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelTopTwoScan)->ArgsProduct({{30, 300, 3000}, {0, 1}});
-
-// The sorted-union merge feeding ScoreSum in the sparse scoring path. It
-// is selection/copy only and shared verbatim by both backends (see
-// kernels.h), so it has a single track; its win is removing the
-// hard-to-predict merge branch from the scoring loop, which the
-// BM_SparseVsDense sweep prices end to end.
-void BM_KernelMergeAlignedPairs(benchmark::State& state) {
-  const int nnz = static_cast<int>(state.range(0));
-  Rng rng(11);
-  std::vector<int> ids_a(nnz), ids_b(nnz);
-  std::vector<double> values_a(nnz), values_b(nnz);
-  for (int i = 0; i < nnz; ++i) {
-    // Ascending, unique, ~2/3 overlap between the two supports.
-    ids_a[i] = 3 * i + static_cast<int>(rng.NextBounded(2));
-    ids_b[i] = 3 * i + static_cast<int>(rng.NextBounded(2));
-    values_a[i] = 0.05 + rng.NextDouble();
-    values_b[i] = 0.05 + rng.NextDouble();
-  }
-  std::vector<double> out_a(2 * nnz), out_b(2 * nnz);
-  for (auto _ : state) {
-    const int merged = simd::MergeAlignedPairs(
-        ids_a.data(), values_a.data(), nnz, ids_b.data(), values_b.data(),
-        nnz, out_a.data(), out_b.data());
-    benchmark::DoNotOptimize(merged);
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_KernelMergeAlignedPairs)->Arg(15)->Arg(100)->Arg(1000);
 
 void BM_Hungarian(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -444,6 +419,42 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
 BENCHMARK(BM_GainCacheVsRebuild)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{1, 3, 10, 33}, {0, 1}, {0, 1}});
+
+// The ideal assignment AI behind every printed optimality ratio
+// (core::BuildIdealAssignment, Sec. 5.2). Shapes: 0 = the T09 conference
+// (δp = 3, T = 30); 1 = a 400×300 pool (T = 100, nnz/T = 0.05, δp = 3)
+// on dense views; 2 = the same pool with sparse views; 3 = the pool
+// scored with cR, which visits every topic instead of the paper's
+// support.
+void BM_IdealAssignment(benchmark::State& state) {
+  const int shape = static_cast<int>(state.range(0));
+  std::optional<core::Instance> instance;
+  if (shape == 0) {
+    instance.emplace(
+        bench::MakeConference(data::Area::kTheory, 2009, 3).instance);
+  } else {
+    data::SyntheticDblpConfig config;
+    config.seed = 11;
+    config.num_topics = 100;
+    config.topic_density = 0.05;
+    auto dataset = data::GenerateReviewerPool(300, 400, config);
+    bench::DieOnError(dataset.status(), "GenerateReviewerPool");
+    core::InstanceParams params;
+    params.group_size = 3;
+    params.sparse_topics = shape == 2;
+    if (shape == 3) params.scoring = core::ScoringFunction::kReviewerCoverage;
+    auto built = core::Instance::FromDataset(*dataset, params);
+    bench::DieOnError(built.status(), "FromDataset");
+    instance.emplace(std::move(built).value());
+  }
+  for (auto _ : state) {
+    auto ideal = core::BuildIdealAssignment(*instance);
+    benchmark::DoNotOptimize(ideal);
+  }
+}
+BENCHMARK(BM_IdealAssignment)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_JraBba(benchmark::State& state) {
   const int reviewers = static_cast<int>(state.range(0));

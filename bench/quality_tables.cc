@@ -38,7 +38,8 @@ int RunQualityTables(const QualityConfig& config) {
             method.run(setup.instance, config.sra_budget_seconds);
         DieOnError(assignment.status(), method.name);
         opt_row.push_back(StrFormat(
-            "%.1f%%", 100.0 * core::OptimalityRatio(*assignment, *ideal)));
+            "%.1f%%",
+            100.0 * core::OptimalityRatio(*assignment, *ideal).value()));
         results.emplace(method.name, std::move(assignment).value());
       }
       optimality.AddRow(std::move(opt_row));

@@ -62,7 +62,7 @@ int main() {
     }
     std::printf("%-12s %10.3f %11.1f%% %10.3f\n", solver->name.c_str(),
                 result->TotalScore(),
-                100.0 * core::OptimalityRatio(*result, *ideal),
+                100.0 * core::OptimalityRatio(*result, *ideal).value(),
                 core::LowestCoverage(*result));
     if (solver->name == "sdga-sra") champion = std::move(result);
   }

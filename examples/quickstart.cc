@@ -56,7 +56,7 @@ int main() {
   std::printf("total coverage score: %.3f (%.1f%% of the ideal "
               "workload-free assignment)\n",
               assignment->TotalScore(),
-              100.0 * core::OptimalityRatio(*assignment, *ideal));
+              100.0 * core::OptimalityRatio(*assignment, *ideal).value());
   std::printf("lowest per-paper coverage: %.3f\n",
               core::LowestCoverage(*assignment));
   std::printf("\npaper 0 (\"%s\") is reviewed by:\n",

@@ -2,25 +2,70 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "common/check.h"
+#include "common/matrix.h"
+#include "obs/trace.h"
+#include "simd/kernels.h"
 
 namespace wgrap::core {
 
 Result<Assignment> BuildIdealAssignment(const Instance& instance) {
-  // The O(P·δp·R) gain scan below dispatches to the sparse marginal-gain
-  // kernel (O(nnz) per candidate) whenever the instance carries sparse
-  // topic views — AI and every ratio derived from it are bit-identical
-  // either way.
+  obs::ScopedSpan span("ideal_bound");
   Assignment ideal(&instance);
+  const int P = instance.num_papers();
   const int R = instance.num_reviewers();
-  for (int p = 0; p < instance.num_papers(); ++p) {
+  const int T = instance.num_topics();
+  const ScoringFunction f = instance.scoring();
+  // Topic-major copy of the dense reviewer matrix: row t holds every
+  // reviewer's weight on topic t, so one kernel call scores all R
+  // candidates with one SIMD lane per reviewer. Built per call (not
+  // cached on the instance, which the online-update path would then have
+  // to patch); it is O(R·T) against the O(P·δp·R·|topics|) scan below.
+  const Matrix& reviewers = instance.ReviewerMatrix();
+  std::vector<double> by_topic(static_cast<size_t>(T) * R);
+  for (int r = 0; r < R; ++r) {
+    const double* row = reviewers.Row(r);
+    for (int t = 0; t < T; ++t) {
+      by_topic[static_cast<size_t>(t) * R + r] = row[t];
+    }
+  }
+  std::vector<int> topics;
+  topics.reserve(T);
+  std::vector<double> gains(R);
+  std::vector<char> eligible(R);
+  for (int p = 0; p < P; ++p) {
+    const double* paper = instance.PaperVector(p);
+    const double mass = instance.PaperMass(p);
+    WGRAP_CHECK(mass > 0.0);
+    // The topics whose gated term can be nonzero. For c, cP and cD,
+    // f(x, 0) is ±0.0 for every valid (finite, non-negative) x, so each
+    // gated term f(r, 0) - f(g, 0) at a zero-weight topic is ±0.0, and
+    // adding ±0.0 leaves the running gain unchanged (it starts at +0.0
+    // and a sum is -0.0 only when both addends are): skipping those
+    // topics gives the same bits as the full scan. cR has f(x, 0) = x,
+    // so it visits every topic.
+    topics.clear();
+    for (int t = 0; t < T; ++t) {
+      if (f == ScoringFunction::kReviewerCoverage || paper[t] != 0.0) {
+        topics.push_back(t);
+      }
+    }
+    for (int r = 0; r < R; ++r) eligible[r] = !instance.IsConflict(r, p);
     for (int pick = 0; pick < instance.group_size(); ++pick) {
+      simd::MarginalGainLanes(f, ideal.GroupVector(p), paper, topics.data(),
+                              static_cast<int>(topics.size()),
+                              by_topic.data(), R, gains.data());
+      // Assignment::MarginalGain's arithmetic (sum / mass + bid bonus)
+      // and the old per-reviewer scan's rule: the lowest-index strict
+      // maximum over eligible reviewers not yet in the group.
       int best = -1;
       double best_gain = -1.0;
       for (int r = 0; r < R; ++r) {
-        if (ideal.Contains(p, r) || instance.IsConflict(r, p)) continue;
-        const double gain = ideal.MarginalGain(p, r);
+        if (!eligible[r]) continue;
+        const double gain = gains[r] / mass + instance.BidBonus(r, p);
         if (gain > best_gain) {
           best_gain = gain;
           best = r;
@@ -28,14 +73,16 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance) {
       }
       if (best < 0) return Status::Infeasible("not enough eligible reviewers");
       WGRAP_RETURN_IF_ERROR(ideal.AddUnchecked(p, best));
+      eligible[best] = 0;
     }
   }
   return ideal;
 }
 
-double OptimalityRatio(const Assignment& assignment, const Assignment& ideal) {
+std::optional<double> OptimalityRatio(const Assignment& assignment,
+                                      const Assignment& ideal) {
   const double denom = ideal.TotalScore();
-  WGRAP_CHECK(denom > 0.0);
+  if (!(denom > 0.0)) return std::nullopt;
   return assignment.TotalScore() / denom;
 }
 

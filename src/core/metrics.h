@@ -4,6 +4,8 @@
 #ifndef WGRAP_CORE_METRICS_H_
 #define WGRAP_CORE_METRICS_H_
 
+#include <optional>
+
 #include "common/status.h"
 #include "core/assignment.h"
 #include "core/instance.h"
@@ -14,11 +16,27 @@ namespace wgrap::core {
 /// best δp reviewers disregarding workloads (built greedily, like the
 /// evaluation in the paper; exact per-paper optimization is NP-hard).
 /// c(AI) >= c(O), so c(A)/c(AI) lower-bounds the true optimality ratio.
+///
+/// Exactness: each greedy pick is the lowest-index strict maximum of
+/// Assignment::MarginalGain over the eligible reviewers (not in the group,
+/// no COI), i.e. the same groups, PaperScore and TotalScore bits as a
+/// per-reviewer MarginalGain scan. The gains come from one
+/// simd::MarginalGainLanes call per pick over a per-call topic-major copy
+/// of the dense reviewer matrix (lane r adds exactly MarginalGainSum's
+/// terms for reviewer r, in ascending topic order); for c, cP and cD the
+/// call lists only the paper's nonzero topics, whose omitted terms are
+/// ±0.0 and cannot change the sum (metrics.cc). Sparse views do not
+/// matter: the instance always holds the dense matrices, and sparse gains
+/// are bit-identical to dense ones by contract. O(P·δp·R·|topics|) after
+/// an O(R·T) transpose. Traced as the `ideal_bound` span.
 Result<Assignment> BuildIdealAssignment(const Instance& instance);
 
-/// c(A) / c(AI). `ideal` must come from BuildIdealAssignment on the same
-/// instance.
-double OptimalityRatio(const Assignment& assignment, const Assignment& ideal);
+/// c(A) / c(AI), or nullopt when c(AI) is not positive — no reviewer
+/// shares a topic with any paper, so the ratio is undefined (a valid
+/// input, not an error). `ideal` must come from BuildIdealAssignment on
+/// the same instance.
+std::optional<double> OptimalityRatio(const Assignment& assignment,
+                                      const Assignment& ideal);
 
 /// Superiority of X over Y (Sec. 5.2): fraction of papers whose group in X
 /// scores >= (resp. ==) their group in Y.

@@ -21,17 +21,31 @@ std::string Sprintf(const char* format, Args... args) {
   return out;
 }
 
+// c(A)/c(AI) as "<percent>%" with `decimals` places, or "n/a" when the
+// ratio is undefined: AI cannot be built, or c(AI) = 0 because no
+// reviewer shares a topic with any paper. Both reports print it.
+std::string OptimalityPercent(const core::Instance& instance,
+                              const core::Assignment& assignment,
+                              int decimals) {
+  auto ideal = core::BuildIdealAssignment(instance);
+  if (ideal.ok()) {
+    if (const auto ratio = core::OptimalityRatio(assignment, *ideal)) {
+      return Sprintf("%.*f%%", decimals, 100.0 * *ratio);
+    }
+  }
+  return "n/a";
+}
+
 }  // namespace
 
 std::string SolveReportLine(const std::string& algo,
                             const core::Instance& instance,
                             const core::Assignment& assignment,
                             const std::string& wrote_path) {
-  auto ideal = core::BuildIdealAssignment(instance);
   return Sprintf(
-      "%s: coverage %.3f (optimality %.1f%%), lowest paper %.3f%s\n",
+      "%s: coverage %.3f (optimality %s), lowest paper %.3f%s\n",
       algo.c_str(), assignment.TotalScore(),
-      ideal.ok() ? 100.0 * core::OptimalityRatio(assignment, *ideal) : 0.0,
+      OptimalityPercent(instance, assignment, 1).c_str(),
       core::LowestCoverage(assignment),
       wrote_path.empty() ? "" : (", wrote " + wrote_path).c_str());
 }
@@ -39,16 +53,13 @@ std::string SolveReportLine(const std::string& algo,
 std::string EvaluationReport(const core::Instance& instance,
                              const core::Assignment& assignment) {
   const Status valid = assignment.ValidateComplete();
-  auto ideal = core::BuildIdealAssignment(instance);
   std::string out;
   out += Sprintf("pairs: %lld\n", static_cast<long long>(assignment.size()));
   out += Sprintf("feasible: %s\n",
                  valid.ok() ? "yes" : valid.ToString().c_str());
   out += Sprintf("coverage score: %.4f\n", assignment.TotalScore());
-  if (ideal.ok()) {
-    out += Sprintf("optimality ratio: %.2f%%\n",
-                   100.0 * core::OptimalityRatio(assignment, *ideal));
-  }
+  out += Sprintf("optimality ratio: %s\n",
+                 OptimalityPercent(instance, assignment, 2).c_str());
   out += Sprintf("lowest paper coverage: %.4f\n",
                  core::LowestCoverage(assignment));
   return out;

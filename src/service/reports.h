@@ -25,14 +25,16 @@ namespace wgrap::service {
 /// The `wgrap_cli solve` summary line:
 ///   "<algo>: coverage %.3f (optimality %.1f%%), lowest paper %.3f[, wrote
 ///   <path>]\n"
-/// Pass an empty `wrote_path` (the service does) to omit the suffix.
+/// Pass an empty `wrote_path` (the service does) to omit the suffix. The
+/// optimality reads "n/a" when c(A)/c(AI) is undefined (the ideal
+/// assignment cannot be built, or c(AI) = 0).
 std::string SolveReportLine(const std::string& algo,
                             const core::Instance& instance,
                             const core::Assignment& assignment,
                             const std::string& wrote_path);
 
 /// The `wgrap_cli evaluate` block: pairs, feasibility, coverage score,
-/// optimality ratio (when the ideal assignment is computable), lowest
+/// optimality ratio ("%.2f%%", or "n/a" as in SolveReportLine), lowest
 /// paper coverage.
 std::string EvaluationReport(const core::Instance& instance,
                              const core::Assignment& assignment);

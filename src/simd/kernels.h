@@ -18,13 +18,21 @@
 //    like the dense loops in core/scoring.cc; the AVX2 backend vectorizes
 //    only the per-lane contribution values (min/cmp/mul — IEEE-exact per
 //    lane) and then sums the lanes in index order.
+//  * Lane-per-reviewer accumulation (MarginalGainLanes) vectorizes ACROSS
+//    independent sums, never within one: each SIMD lane owns one
+//    reviewer's running gain and adds that reviewer's contributions in the
+//    listed topic order — the very sequence MarginalGainSum adds for that
+//    reviewer. A lane whose gate fails keeps its running sum through a
+//    blend rather than by adding +0.0, and the per-topic group term
+//    f(group[t], paper[t]) is the same scalar TopicContribution value in
+//    every lane, so each lane's bits equal the scalar loop's.
 //  * Comparison semantics mirror the scalar source expression, including
 //    NaN and signed-zero behavior: min lanes use VMINPD, whose
 //    (a < b) ? a : b semantics equal TopicContribution's kWeightedCoverage
 //    ternary; predicated lanes use the exact predicate complement
 //    (_CMP_NLE_UQ for `!(a <= b)`, _CMP_GE_OQ for `a >= b`); max folds use
 //    compare+blend, NOT VMAXPD (which differs from std::max on ±0.0/NaN).
-//  * Integer kernels (top-two scans, filters, merges) are exact by nature;
+//  * Integer kernels (top-two scans, filters) are exact by nature;
 //    ties select the lowest index, matching the scalar scan order.
 //
 // tests/simd_kernel_test.cc fuzzes every kernel across backends and fails
@@ -65,6 +73,10 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
                        const double* reviewer, const double* paper, int n);
+void MarginalGainLanes(core::ScoringFunction f, const double* group,
+                       const double* paper, const int* topics,
+                       int num_topics, const double* by_topic,
+                       int num_reviewers, double* out);
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices);
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
@@ -79,6 +91,10 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
                        const double* reviewer, const double* paper, int n);
+void MarginalGainLanes(core::ScoringFunction f, const double* group,
+                       const double* paper, const int* topics,
+                       int num_topics, const double* by_topic,
+                       int num_reviewers, double* out);
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices);
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
@@ -121,6 +137,32 @@ inline double MarginalGainSum(core::ScoringFunction f, const double* group,
   return scalar::MarginalGainSum(f, group, reviewer, paper, n);
 }
 
+/// MarginalGainSum for every reviewer at once, one reviewer per lane. The
+/// reviewers are the columns of the topic-major matrix `by_topic` (row t
+/// at by_topic + t·num_reviewers holds reviewer r's weight on topic t at
+/// index r). For each r in [0, num_reviewers), out[r] is the sum, over
+/// the listed topics t = topics[0], ..., topics[num_topics - 1] in that
+/// order, of f(x, paper[t]) - f(group[t], paper[t]) where x = by_topic[t·
+/// num_reviewers + r] and `!(x <= group[t])` — so with topics = 0..n-1,
+/// out[r] has the bits of MarginalGainSum(f, group, reviewer r, paper, n).
+/// Dropping a topic from the list is exact whenever every one of its
+/// gated terms is ±0.0 (adding ±0.0 to a sum that starts at +0.0 never
+/// changes it); core::BuildIdealAssignment relies on that for paper
+/// weights of zero.
+inline void MarginalGainLanes(core::ScoringFunction f, const double* group,
+                              const double* paper, const int* topics,
+                              int num_topics, const double* by_topic,
+                              int num_reviewers, double* out) {
+#if defined(WGRAP_SIMD_HAVE_AVX2)
+  if (UseAvx2()) {
+    return avx2::MarginalGainLanes(f, group, paper, topics, num_topics,
+                                   by_topic, num_reviewers, out);
+  }
+#endif
+  scalar::MarginalGainLanes(f, group, paper, topics, num_topics, by_topic,
+                            num_reviewers, out);
+}
+
 /// Writes the indices i with values[i] > threshold (exactly
 /// `!(values[i] <= threshold)`, so NaN passes — matching the scalar
 /// `if (p <= threshold) continue` filters) to out_indices, ascending.
@@ -157,30 +199,6 @@ inline TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
 #endif
   return scalar::TopTwoNegPrice(price, n, no_price);
 }
-
-/// Branch-free sorted-union merge of two sparse operands into aligned
-/// value pairs: on exit (out_a[k], out_b[k]) for k in [0, return) hold the
-/// two operand values over the ascending union of the supports, with 0.0
-/// where a side is absent — exactly the (r, p) pairs the fused merge in
-/// sparse/sparse_scoring.cc feeds to TopicContribution, in the same
-/// order. Selection/copy only (no FP arithmetic), so both backends share
-/// this one implementation. NOTE: measured SLOWER than the fused merge
-/// loops at every density (the compiler compiles those to conditional
-/// moves, and this split pass adds a store/reload of the pair buffers),
-/// so sparse_scoring.cc does not dispatch it — it stays as the
-/// benchmarked negative result (BM_KernelMergeAlignedPairs,
-/// bench/BASELINES.md). Output buffers must have room for na + nb
-/// entries.
-int MergeAlignedPairs(const int* ids_a, const double* values_a, int na,
-                      const int* ids_b, const double* values_b, int nb,
-                      double* out_a, double* out_b);
-
-/// MergeAlignedPairs with a dense left operand restricted to the sorted
-/// support `ids_a` (the SparseGroupAccumulator path): left values are read
-/// from acc[ids_a[i]].
-int MergeAlignedPairsDenseLeft(const double* acc, const int* ids_a, int na,
-                               const int* ids_b, const double* values_b,
-                               int nb, double* out_a, double* out_b);
 
 }  // namespace wgrap::simd
 

@@ -6,6 +6,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstddef>
 
 #include "simd/kernels.h"
 
@@ -147,6 +148,97 @@ double MarginalGainSum(core::ScoringFunction f, const double* group,
             core::TopicContribution(f, group[t], paper[t]);
   }
   return gain;
+}
+
+namespace {
+
+// f(x, p) lane-wise, matching core::TopicContribution bit for bit:
+//  * kWeightedCoverage: scalar `x < p ? x : p` is exactly VMINPD(x, p)
+//    (the second operand on NaN and on ±0.0 ties, like the ternary).
+//  * kReviewerCoverage / kPaperCoverage: `x >= p ? … : 0.0` with
+//    _CMP_GE_OQ (false on NaN, like scalar >=); the AND yields +0.0, the
+//    scalar literal.
+//  * kDotProduct: VMULPD, IEEE-exact per lane.
+template <core::ScoringFunction F>
+inline __m256d LaneContribution(__m256d x, __m256d p) {
+  using core::ScoringFunction;
+  if constexpr (F == ScoringFunction::kWeightedCoverage) {
+    return _mm256_min_pd(x, p);
+  } else if constexpr (F == ScoringFunction::kReviewerCoverage) {
+    return _mm256_and_pd(_mm256_cmp_pd(x, p, _CMP_GE_OQ), x);
+  } else if constexpr (F == ScoringFunction::kPaperCoverage) {
+    return _mm256_and_pd(_mm256_cmp_pd(x, p, _CMP_GE_OQ), p);
+  } else {
+    return _mm256_mul_pd(x, p);
+  }
+}
+
+// One 4-reviewer step of one topic: out += f(x, p) - fg in the lanes
+// where `!(x <= g)` (_CMP_NLE_UQ, the exact complement of the scalar
+// gate, so unordered lanes add like scalar); the other lanes keep their
+// sum through the blend. No FMA: the sub and the add round separately,
+// as in the scalar expression.
+template <core::ScoringFunction F>
+inline void LaneStep(const double* row, double* out, __m256d g, __m256d p,
+                     __m256d fg) {
+  const __m256d x = _mm256_loadu_pd(row);
+  const __m256d acc = _mm256_loadu_pd(out);
+  const __m256d keep = _mm256_cmp_pd(x, g, _CMP_NLE_UQ);
+  const __m256d sum =
+      _mm256_add_pd(acc, _mm256_sub_pd(LaneContribution<F>(x, p), fg));
+  _mm256_storeu_pd(out, _mm256_blendv_pd(acc, sum, keep));
+}
+
+template <core::ScoringFunction F>
+void MarginalGainLanesFor(const double* group, const double* paper,
+                          const int* topics, int num_topics,
+                          const double* by_topic, int num_reviewers,
+                          double* out) {
+  std::fill(out, out + num_reviewers, 0.0);
+  for (int k = 0; k < num_topics; ++k) {
+    const int t = topics[k];
+    const double g = group[t];
+    const double p = paper[t];
+    // The group term is the scalar value every lane subtracts — the same
+    // double MarginalGainSum computes for this topic.
+    const double fg = core::TopicContribution(F, g, p);
+    const __m256d vg = _mm256_set1_pd(g);
+    const __m256d vp = _mm256_set1_pd(p);
+    const __m256d vfg = _mm256_set1_pd(fg);
+    const double* row = by_topic + static_cast<size_t>(t) * num_reviewers;
+    int r = 0;
+    for (; r + 4 <= num_reviewers; r += 4) {
+      LaneStep<F>(row + r, out + r, vg, vp, vfg);
+    }
+    for (; r < num_reviewers; ++r) {
+      const double x = row[r];
+      if (x <= g) continue;
+      out[r] += core::TopicContribution(F, x, p) - fg;
+    }
+  }
+}
+
+}  // namespace
+
+void MarginalGainLanes(core::ScoringFunction f, const double* group,
+                       const double* paper, const int* topics,
+                       int num_topics, const double* by_topic,
+                       int num_reviewers, double* out) {
+  using core::ScoringFunction;
+  switch (f) {
+    case ScoringFunction::kWeightedCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kWeightedCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kReviewerCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kReviewerCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kPaperCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kPaperCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kDotProduct:
+      return MarginalGainLanesFor<ScoringFunction::kDotProduct>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+  }
 }
 
 int FilterGreaterThan(const double* values, int n, double threshold,

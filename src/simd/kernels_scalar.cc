@@ -1,8 +1,10 @@
 // The scalar reference backend: these are the exact loops the solvers ran
 // before the kernel layer existed (core/scoring.cc, la/auction.cc), moved
 // here verbatim so the AVX2 backend has a single source of truth to be
-// byte-identical against.
+// byte-identical against — plus MarginalGainLanes, the reviewer-per-lane
+// form of MarginalGainSum that core/metrics.cc's ideal bound runs on.
 #include <algorithm>
+#include <cstddef>
 
 #include "simd/kernels.h"
 
@@ -54,6 +56,54 @@ double MarginalGainSum(core::ScoringFunction f, const double* group,
   return gain;
 }
 
+namespace {
+
+// One scoring function per instantiation, so the per-function switch in
+// TopicContribution folds away. Each out[r] receives exactly the
+// additions MarginalGainSum makes for reviewer r, in the same order.
+template <core::ScoringFunction F>
+void MarginalGainLanesFor(const double* group, const double* paper,
+                          const int* topics, int num_topics,
+                          const double* by_topic, int num_reviewers,
+                          double* out) {
+  std::fill(out, out + num_reviewers, 0.0);
+  for (int k = 0; k < num_topics; ++k) {
+    const int t = topics[k];
+    const double g = group[t];
+    const double p = paper[t];
+    const double fg = core::TopicContribution(F, g, p);
+    const double* row = by_topic + static_cast<size_t>(t) * num_reviewers;
+    for (int r = 0; r < num_reviewers; ++r) {
+      const double x = row[r];
+      const double sum = out[r] + (core::TopicContribution(F, x, p) - fg);
+      out[r] = x <= g ? out[r] : sum;  // max unchanged at this topic
+    }
+  }
+}
+
+}  // namespace
+
+void MarginalGainLanes(core::ScoringFunction f, const double* group,
+                       const double* paper, const int* topics,
+                       int num_topics, const double* by_topic,
+                       int num_reviewers, double* out) {
+  using core::ScoringFunction;
+  switch (f) {
+    case ScoringFunction::kWeightedCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kWeightedCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kReviewerCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kReviewerCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kPaperCoverage:
+      return MarginalGainLanesFor<ScoringFunction::kPaperCoverage>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+    case ScoringFunction::kDotProduct:
+      return MarginalGainLanesFor<ScoringFunction::kDotProduct>(
+          group, paper, topics, num_topics, by_topic, num_reviewers, out);
+  }
+}
+
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices) {
   int count = 0;
@@ -99,60 +149,5 @@ TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
 }
 
 }  // namespace scalar
-
-int MergeAlignedPairs(const int* ids_a, const double* values_a, int na,
-                      const int* ids_b, const double* values_b, int nb,
-                      double* out_a, double* out_b) {
-  int i = 0, j = 0, k = 0;
-  // The merge comparisons compile to conditional moves / flag-driven index
-  // bumps — no data-dependent branch in the joint region, which is where a
-  // branchy merge pays ~half a mispredict per element on real supports.
-  while (i < na && j < nb) {
-    const int ta = ids_a[i];
-    const int tb = ids_b[j];
-    const bool take_a = ta <= tb;
-    const bool take_b = tb <= ta;
-    out_a[k] = take_a ? values_a[i] : 0.0;
-    out_b[k] = take_b ? values_b[j] : 0.0;
-    i += take_a;
-    j += take_b;
-    ++k;
-  }
-  for (; i < na; ++i, ++k) {
-    out_a[k] = values_a[i];
-    out_b[k] = 0.0;
-  }
-  for (; j < nb; ++j, ++k) {
-    out_a[k] = 0.0;
-    out_b[k] = values_b[j];
-  }
-  return k;
-}
-
-int MergeAlignedPairsDenseLeft(const double* acc, const int* ids_a, int na,
-                               const int* ids_b, const double* values_b,
-                               int nb, double* out_a, double* out_b) {
-  int i = 0, j = 0, k = 0;
-  while (i < na && j < nb) {
-    const int ta = ids_a[i];
-    const int tb = ids_b[j];
-    const bool take_a = ta <= tb;
-    const bool take_b = tb <= ta;
-    out_a[k] = take_a ? acc[ta] : 0.0;
-    out_b[k] = take_b ? values_b[j] : 0.0;
-    i += take_a;
-    j += take_b;
-    ++k;
-  }
-  for (; i < na; ++i, ++k) {
-    out_a[k] = acc[ids_a[i]];
-    out_b[k] = 0.0;
-  }
-  for (; j < nb; ++j, ++k) {
-    out_a[k] = 0.0;
-    out_b[k] = values_b[j];
-  }
-  return k;
-}
 
 }  // namespace wgrap::simd

@@ -107,6 +107,58 @@ TEST(ProtocolTest, ScriptedSessionIsByteExact) {
   EXPECT_EQ(out.str(), expected);
 }
 
+TEST(ProtocolTest, EvaluateWithZeroIdealCoverageRepliesOkAndKeepsServing) {
+  // Valid input where no reviewer shares a topic with any paper: c(AI) =
+  // 0, so the optimality ratio is undefined. The evaluate reply is an ok
+  // frame reading "n/a", and the session keeps serving afterwards.
+  data::RapDataset dataset;
+  dataset.num_topics = 2;
+  for (const char* name : {"r0", "r1", "r2", "r3"}) {
+    dataset.reviewers.push_back({name, {1.0, 0.0}, 1});
+  }
+  for (const char* title : {"p0", "p1"}) {
+    dataset.papers.push_back({title, {0.0, 1.0}, "V"});
+  }
+  core::InstanceParams params;
+  params.group_size = 2;
+  auto instance = core::Instance::FromDataset(dataset, params);
+  ASSERT_TRUE(instance.ok());
+  core::SolverRunOptions options;
+  options.seed = 7;
+  auto solved =
+      core::SolverRegistry::Default().SolveCra("sdga", *instance, options);
+  ASSERT_TRUE(solved.ok());
+  const std::string line = SolveReportLine("sdga", *instance, *solved, "");
+  ASSERT_NE(line.find("(optimality n/a)"), std::string::npos) << line;
+  const std::string report = EvaluationReport(*instance, *solved);
+  ASSERT_NE(report.find("optimality ratio: n/a\n"), std::string::npos)
+      << report;
+
+  std::string script;
+  Send(&script, "open s dp=2", data::DatasetToCsv(dataset));
+  script += "submit s solve sdga seed=7\n";
+  script += "wait 1\n";
+  script += "evaluate s\n";
+  script += "ping\n";
+  script += "evaluate s\n";
+  script += "quit\n";
+
+  std::string expected;
+  expected += Ok("session s v1 P=2 R=4 T=2 unassigned\n");
+  expected += Ok("job 1\n");
+  expected += Ok(line);
+  expected += Ok(report);
+  expected += Ok("pong\n");
+  expected += Ok(report);
+  expected += Ok("bye\n");
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  EXPECT_EQ(out.str(), expected);
+}
+
 TEST(ProtocolTest, MutateAndResolveRoundTrip) {
   auto dataset = core::MakeFuzzDataset(Config());
   ASSERT_TRUE(dataset.ok());

@@ -69,7 +69,7 @@ std::vector<double> NastyVector(int n, Rng* rng) {
 // Input NaNs stay in the stream — propagating a single quiet-NaN payload
 // is order-independent — as do signed zeros, denormals and exact ties.
 // Solver inputs are validated finite, so nothing real is lost. The
-// pure-selection kernels (max-fold, filter, top-two, merge) keep the
+// pure-selection kernels (max-fold, filter, top-two) keep the
 // full stream, infinities included.
 double FiniteNastyDouble(Rng* rng) {
   const double v = NastyDouble(rng);
@@ -146,6 +146,70 @@ TEST(SimdKernelTest, MarginalGainSumBackendsAreByteIdentical) {
             avx2::MarginalGainSum(f, g.data(), r.data(), p.data(), n);
         ASSERT_EQ(Bits(s), Bits(v))
             << "f=" << static_cast<int>(f) << " n=" << n << " rep=" << rep;
+      }
+    }
+  }
+}
+
+// A random topic list for MarginalGainLanes: ascending, either every
+// topic or a subset, as the ideal-bound caller builds them.
+std::vector<int> TopicList(int num_topics, Rng* rng) {
+  std::vector<int> topics;
+  const bool all = rng->NextInt(0, 1) == 0;
+  for (int t = 0; t < num_topics; ++t) {
+    if (all || rng->NextInt(0, 2) == 0) topics.push_back(t);
+  }
+  return topics;
+}
+
+// NastyDouble minus the input NaNs: infinities, signed zeros, denormals
+// and ties. Every NaN a sum then holds is manufactured (inf - inf, 0·inf)
+// and so is the one default NaN, whose bits no operand order can change.
+// Together with FiniteNastyDouble this covers NaN, ±inf and ±0.0 for an
+// accumulating kernel without mixing an input NaN with a manufactured
+// one — the case the contract excludes.
+double NanFreeNastyDouble(Rng* rng) {
+  const double v = NastyDouble(rng);
+  return std::isnan(v) ? std::numeric_limits<double>::infinity() : v;
+}
+
+std::vector<double> NastyStream(int n, bool with_nan, Rng* rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = with_nan ? FiniteNastyDouble(rng) : NanFreeNastyDouble(rng);
+  }
+  return v;
+}
+
+TEST(SimdKernelTest, MarginalGainLanesBackendsAreByteIdentical) {
+  Rng rng(11);
+  for (const bool with_nan : {true, false}) {
+    for (const auto f : kAllFunctions) {
+      for (const int reviewers : kLengths) {
+        for (const int num_topics : {1, 3, 8, 17}) {
+          for (int rep = 0; rep < 6; ++rep) {
+            const std::vector<double> by_topic =
+                NastyStream(num_topics * reviewers, with_nan, &rng);
+            const std::vector<double> g =
+                NastyStream(num_topics, with_nan, &rng);
+            const std::vector<double> p =
+                NastyStream(num_topics, with_nan, &rng);
+            const std::vector<int> topics = TopicList(num_topics, &rng);
+            const int k = static_cast<int>(topics.size());
+            std::vector<double> s(reviewers, -1.0), v(reviewers, -2.0);
+            scalar::MarginalGainLanes(f, g.data(), p.data(), topics.data(),
+                                      k, by_topic.data(), reviewers,
+                                      s.data());
+            avx2::MarginalGainLanes(f, g.data(), p.data(), topics.data(), k,
+                                    by_topic.data(), reviewers, v.data());
+            for (int r = 0; r < reviewers; ++r) {
+              ASSERT_EQ(Bits(s[r]), Bits(v[r]))
+                  << "nan=" << with_nan << " f=" << static_cast<int>(f)
+                  << " R=" << reviewers << " T=" << num_topics
+                  << " rep=" << rep << " r=" << r;
+            }
+          }
+        }
       }
     }
   }
@@ -232,68 +296,43 @@ TEST(SimdKernelTest, TopTwoNegPriceBackendsAreIdentical) {
 
 #endif  // WGRAP_SIMD_HAVE_AVX2
 
-// The merges are shared between backends (selection/copy only); verify
-// them against a straightforward two-pointer reference.
-TEST(SimdKernelTest, MergeAlignedPairsMatchesReference) {
-  Rng rng(7);
-  for (int rep = 0; rep < 200; ++rep) {
-    const int na = rng.NextInt(0, 24);
-    const int nb = rng.NextInt(0, 24);
-    const auto make_support = [&](int n) {
-      std::vector<int> ids;
-      int next = 0;
-      for (int i = 0; i < n; ++i) {
-        next += 1 + rng.NextInt(0, 3);
-        ids.push_back(next);
+// Every lane of the lane kernel is MarginalGainSum of its reviewer
+// column, bit for bit, when the topic list is 0..T-1 — on the scalar
+// reference and on the dispatched backends alike.
+TEST(SimdKernelTest, MarginalGainLanesMatchMarginalGainSumPerReviewer) {
+  Rng rng(12);
+  for (const auto f : kAllFunctions) {
+    for (const int reviewers : {1, 3, 4, 9, 37}) {
+      for (const int num_topics : kLengths) {
+        for (int rep = 0; rep < 3; ++rep) {
+          const std::vector<double> by_topic =
+              FiniteNastyVector(num_topics * reviewers, &rng);
+          const std::vector<double> g = FiniteNastyVector(num_topics, &rng);
+          const std::vector<double> p = FiniteNastyVector(num_topics, &rng);
+          std::vector<int> topics(num_topics);
+          for (int t = 0; t < num_topics; ++t) topics[t] = t;
+          std::vector<double> lanes(reviewers), dispatched(reviewers);
+          scalar::MarginalGainLanes(f, g.data(), p.data(), topics.data(),
+                                    num_topics, by_topic.data(), reviewers,
+                                    lanes.data());
+          MarginalGainLanes(f, g.data(), p.data(), topics.data(), num_topics,
+                            by_topic.data(), reviewers, dispatched.data());
+          std::vector<double> column(num_topics);
+          for (int r = 0; r < reviewers; ++r) {
+            for (int t = 0; t < num_topics; ++t) {
+              column[t] = by_topic[static_cast<size_t>(t) * reviewers + r];
+            }
+            const double want = scalar::MarginalGainSum(
+                f, g.data(), column.data(), p.data(), num_topics);
+            ASSERT_EQ(Bits(lanes[r]), Bits(want))
+                << "f=" << static_cast<int>(f) << " R=" << reviewers
+                << " T=" << num_topics << " rep=" << rep << " r=" << r;
+            ASSERT_EQ(Bits(dispatched[r]), Bits(want))
+                << "f=" << static_cast<int>(f) << " R=" << reviewers
+                << " T=" << num_topics << " rep=" << rep << " r=" << r;
+          }
+        }
       }
-      return ids;
-    };
-    const std::vector<int> ids_a = make_support(na);
-    const std::vector<int> ids_b = make_support(nb);
-    const std::vector<double> va = NastyVector(na, &rng);
-    const std::vector<double> vb = NastyVector(nb, &rng);
-
-    std::vector<double> out_a(na + nb), out_b(na + nb);
-    const int n =
-        MergeAlignedPairs(ids_a.data(), va.data(), na, ids_b.data(),
-                          vb.data(), nb, out_a.data(), out_b.data());
-
-    std::vector<double> ref_a, ref_b;
-    int i = 0, j = 0;
-    while (i < na || j < nb) {
-      const int ta = i < na ? ids_a[i] : std::numeric_limits<int>::max();
-      const int tb = j < nb ? ids_b[j] : std::numeric_limits<int>::max();
-      if (ta <= tb) {
-        ref_a.push_back(va[i]);
-        ref_b.push_back(ta == tb ? vb[j] : 0.0);
-        ++i;
-        if (ta == tb) ++j;
-      } else {
-        ref_a.push_back(0.0);
-        ref_b.push_back(vb[j]);
-        ++j;
-      }
-    }
-    ASSERT_EQ(n, static_cast<int>(ref_a.size())) << "rep=" << rep;
-    for (int k = 0; k < n; ++k) {
-      ASSERT_EQ(Bits(out_a[k]), Bits(ref_a[k])) << "rep=" << rep;
-      ASSERT_EQ(Bits(out_b[k]), Bits(ref_b[k])) << "rep=" << rep;
-    }
-
-    // Dense-left variant must agree with the pair merge when the dense
-    // accumulator is the scatter of (ids_a, va).
-    const int dense_size = (ids_a.empty() ? 0 : ids_a.back() + 1) +
-                           (ids_b.empty() ? 0 : ids_b.back() + 1) + 1;
-    std::vector<double> acc(dense_size, 0.0);
-    for (int k = 0; k < na; ++k) acc[ids_a[k]] = va[k];
-    std::vector<double> dl_a(na + nb), dl_b(na + nb);
-    const int n2 = MergeAlignedPairsDenseLeft(acc.data(), ids_a.data(), na,
-                                              ids_b.data(), vb.data(), nb,
-                                              dl_a.data(), dl_b.data());
-    ASSERT_EQ(n2, n) << "rep=" << rep;
-    for (int k = 0; k < n; ++k) {
-      ASSERT_EQ(Bits(dl_a[k]), Bits(out_a[k])) << "rep=" << rep;
-      ASSERT_EQ(Bits(dl_b[k]), Bits(out_b[k])) << "rep=" << rep;
     }
   }
 }

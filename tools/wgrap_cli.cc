@@ -20,9 +20,10 @@
 //                       [--gains incremental|rebuild]
 //                       [--trace spans.json] [--verbose]
 //                       [--refine initial.csv] --out a.csv
-//     (--trace records the solver's span tree to a chrome://tracing JSON
-//      file; --verbose prints the dispatched kernel backend (avx2/scalar)
-//      and solver telemetry counters to stderr — both leave stdout
+//     (--trace records the solver's span tree and the report's
+//      ideal_bound span to a chrome://tracing JSON file; --verbose
+//      prints the dispatched kernel backend (avx2/scalar) and solver
+//      telemetry counters to stderr — both leave stdout
 //      byte-identical to an uninstrumented run, which CI asserts)
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
@@ -336,8 +337,7 @@ int CmdSolve(const Flags& flags) {
   const std::string trace_path = flags.GetString("trace", "");
   obs::Tracer tracer;
   {
-    // Attach only for the solve itself, so the span tree is exactly the
-    // solver's — never report rendering or file IO.
+    // The solver's span tree: attached for the solve itself only.
     std::optional<obs::ScopedTracerAttach> attach;
     if (!trace_path.empty()) attach.emplace(&tracer);
     if (!refine_path.empty()) {
@@ -350,6 +350,15 @@ int CmdSolve(const Flags& flags) {
     }
   }
   if (!assignment.ok()) Die(assignment.status(), "solve");
+  const std::string out = flags.GetString("out", "");
+  std::string report;
+  {
+    // The report's ideal bound c(AI) is traced as well (an `ideal_bound`
+    // span after the solver's tree); file IO stays out of the trace.
+    std::optional<obs::ScopedTracerAttach> attach;
+    if (!trace_path.empty()) attach.emplace(&tracer);
+    report = service::SolveReportLine(algo, instance, *assignment, out);
+  }
   if (!trace_path.empty()) {
     WriteFileOrDie(trace_path, obs::TraceToChromeJson(tracer));
     std::fprintf(stderr, "wrote %zu trace spans to %s\n",
@@ -393,11 +402,8 @@ int CmdSolve(const Flags& flags) {
                  algo.c_str());
   }
 
-  const std::string out = flags.GetString("out", "");
   if (!out.empty()) WriteFileOrDie(out, service::AssignmentCsv(*assignment));
-  std::printf("%s",
-              service::SolveReportLine(algo, instance, *assignment, out)
-                  .c_str());
+  std::printf("%s", report.c_str());
   return 0;
 }
 
