@@ -322,10 +322,13 @@ BENCHMARK(BM_LapAuctionThreads)
 // Per-stage profit maintenance head-to-head: rebuild every P×R marginal
 // gain vs. the delta-maintained GainCache (core/gain_cache.h), on a
 // 400-paper reviewer-pool instance at the given topic density. Args:
-// {density%, epoch, mode} with mode 0 = rebuild, 1 = incremental (notes
-// + Refresh + AssembleStageProfit; the cache copy that resets state is
-// excluded from timing), over the two epochs the solvers actually
-// maintain:
+// {density%, epoch, mode, scoring, views} with mode 0 = rebuild,
+// 1 = incremental (notes + Refresh + AssembleStageProfit; the cache copy
+// that resets state is excluded from timing), scoring 0 = c, 1 = cR (a
+// lane row of cR visits all T topics, not just the paper's support),
+// 2 = cP, and views 1 = sparse topic views, 0 = dense topic storage of
+// the same sparse-profile pool (the pool-sdga shape), over the two epochs
+// the solvers actually maintain:
 //   epoch 0 — SDGA stage: "stage 2 just committed one reviewer per
 //     paper; produce stage 3's LAP matrix". The cache's worst case:
 //     young groups mean low per-topic maxima, so a commit changes most
@@ -341,6 +344,8 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
   const double density = static_cast<int>(state.range(0)) / 100.0;
   const bool sra_round = state.range(1) != 0;
   const bool incremental = state.range(2) != 0;
+  const int scoring = static_cast<int>(state.range(3));
+  const bool sparse_views = state.range(4) != 0;
   const int P = 400;
   const int R = 300;
   data::SyntheticDblpConfig config;
@@ -351,7 +356,9 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
   bench::DieOnError(dataset.status(), "GenerateReviewerPool");
   core::InstanceParams params;
   params.group_size = 3;
-  params.sparse_topics = density < 1.0;
+  params.sparse_topics = sparse_views;
+  if (scoring == 1) params.scoring = core::ScoringFunction::kReviewerCoverage;
+  if (scoring == 2) params.scoring = core::ScoringFunction::kPaperCoverage;
   auto instance = core::Instance::FromDataset(*dataset, params);
   bench::DieOnError(instance.status(), "FromDataset");
   // Replay the epoch from a solved run. Groups list members in stage
@@ -389,6 +396,7 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
     core::GainCache base(&*instance);
     base.Refresh(before, &pool);
     int64_t patched = 0;
+    int64_t lane_rows = 0;
     for (auto _ : state) {
       state.PauseTiming();
       core::GainCache cache = base;  // rewind to the pre-delta epoch
@@ -398,8 +406,10 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
       cache.AssembleStageProfit(papers, capacity, after, &pool, &profit);
       benchmark::DoNotOptimize(profit);
       patched = cache.patched_entries();
+      lane_rows = cache.lane_rows() - base.lane_rows();
     }
     state.counters["patched"] = static_cast<double>(patched);
+    state.counters["lane_rows"] = static_cast<double>(lane_rows);
   } else {
     for (auto _ : state) {
       for (int p = 0; p < P; ++p) {
@@ -418,7 +428,8 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GainCacheVsRebuild)
     ->Unit(benchmark::kMillisecond)
-    ->ArgsProduct({{1, 3, 10, 33}, {0, 1}, {0, 1}});
+    ->ArgsProduct({{1, 3, 10, 33}, {0, 1}, {0, 1}, {0, 1}, {1}})
+    ->ArgsProduct({{3, 10, 33}, {0, 1}, {0, 1}, {0, 1, 2}, {0}});
 
 // The ideal assignment AI behind every printed optimality ratio
 // (core::BuildIdealAssignment, Sec. 5.2). Shapes: 0 = the T09 conference

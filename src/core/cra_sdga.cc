@@ -133,28 +133,33 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
 
   Matrix stage_profit(static_cast<int>(papers_needing.size()), R,
                       la::kTransportForbidden);
-  if (cache != nullptr) {
-    cache->Refresh(*assignment, pool);
-    cache->AssembleStageProfit(papers_needing, capacity, *assignment, pool,
-                               &stage_profit);
-  } else {
-    pool->ParallelFor(0, static_cast<int64_t>(papers_needing.size()),
-                      /*grain=*/8, [&](int64_t i) {
-                        const int p = papers_needing[i];
-                        for (int r = 0; r < R; ++r) {
-                          if (capacity[r] <= 0 ||
-                              instance.IsConflict(r, p) ||
-                              assignment->Contains(p, r)) {
-                            continue;
+  // The Eq. 5 profit build, traced as a sibling of `stage_lap` so a trace
+  // splits every stage and SRA round into profit build and LAP.
+  {
+    obs::ScopedSpan profit_span("stage_profit");
+    if (cache != nullptr) {
+      cache->Refresh(*assignment, pool);
+      cache->AssembleStageProfit(papers_needing, capacity, *assignment, pool,
+                                 &stage_profit);
+    } else {
+      pool->ParallelFor(0, static_cast<int64_t>(papers_needing.size()),
+                        /*grain=*/8, [&](int64_t i) {
+                          const int p = papers_needing[i];
+                          for (int r = 0; r < R; ++r) {
+                            if (capacity[r] <= 0 ||
+                                instance.IsConflict(r, p) ||
+                                assignment->Contains(p, r)) {
+                              continue;
+                            }
+                            stage_profit(static_cast<int>(i), r) =
+                                assignment->MarginalGain(p, r);
                           }
-                          stage_profit(static_cast<int>(i), r) =
-                              assignment->MarginalGain(p, r);
-                        }
-                      });
-    static obs::Counter* const rebuilt = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_rebuilt_cells_total");
-    if (rebuilt) {
-      rebuilt->Add(static_cast<int64_t>(papers_needing.size()) * R);
+                        });
+      static obs::Counter* const rebuilt = obs::Registry::Global().GetCounter(
+          "wgrap_gain_cache_rebuilt_cells_total");
+      if (rebuilt) {
+        rebuilt->Add(static_cast<int64_t>(papers_needing.size()) * R);
+      }
     }
   }
 
@@ -244,14 +249,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
                                      assignment.TotalScore()});
     }
   }
-  if (cache != nullptr) {
-    static obs::Counter* const patched = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_patched_cells_total");
-    if (patched) patched->Add(cache->patched_entries());
-    static obs::Counter* const builds = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_full_builds_total");
-    if (builds) builds->Add(cache->full_builds());
-  }
+  if (cache != nullptr) cache->PublishCounters();
   WGRAP_RETURN_IF_ERROR(assignment.ValidateComplete());
   return assignment;
 }

@@ -177,14 +177,7 @@ Result<Assignment> RefineSra(const Instance& instance,
   static obs::Counter* const rounds_total =
       obs::Registry::Global().GetCounter("wgrap_sra_rounds_total");
   if (rounds_total && rounds_run > 0) rounds_total->Add(rounds_run);
-  if (gain_cache != nullptr) {
-    static obs::Counter* const patched = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_patched_cells_total");
-    if (patched) patched->Add(gain_cache->patched_entries());
-    static obs::Counter* const builds = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_full_builds_total");
-    if (builds) builds->Add(gain_cache->full_builds());
-  }
+  if (gain_cache != nullptr) gain_cache->PublishCounters();
   WGRAP_RETURN_IF_ERROR(best.ValidateComplete());
   return best;
 }

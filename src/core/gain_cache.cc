@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "la/transportation.h"
+#include "obs/metrics.h"
 #include "simd/kernels.h"
 #include "sparse/sparse_scoring.h"
 
@@ -17,6 +18,19 @@ namespace {
 // is the same.
 constexpr int64_t kPaperGrain = 8;
 
+// Per-worker lane scratch, reused across rows, chunks and Refresh calls.
+std::vector<int>& ScratchTopics() {
+  static thread_local std::vector<int> topics;
+  return topics;
+}
+std::vector<double>& ScratchSums(int num_reviewers) {
+  static thread_local std::vector<double> sums;
+  if (static_cast<int>(sums.size()) < num_reviewers) {
+    sums.resize(static_cast<size_t>(num_reviewers));
+  }
+  return sums;
+}
+
 }  // namespace
 
 GainCache::GainCache(const Instance* instance)
@@ -25,7 +39,37 @@ GainCache::GainCache(const Instance* instance)
       reviewer_index_(
           instance->has_sparse_topics()
               ? sparse::TopicIndex::FromSparse(instance->ReviewerSparseMatrix())
-              : sparse::TopicIndex::FromMatrix(instance->ReviewerMatrix())) {}
+              : sparse::TopicIndex::FromMatrix(instance->ReviewerMatrix())) {
+  if (!instance->has_sparse_topics() &&
+      instance->scoring() != ScoringFunction::kReviewerCoverage) {
+    lanes_.emplace(instance);
+  }
+}
+
+void GainCache::ScoreFullRow(const Assignment& assignment, int paper) {
+  const int R = num_reviewers_;
+  double* row = &gains_[static_cast<size_t>(paper) * R];
+  if (!lanes_) {
+    for (int r = 0; r < R; ++r) {
+      row[r] = instance_->IsConflict(r, paper)
+                   ? la::kTransportForbidden
+                   : assignment.MarginalGain(paper, r);
+    }
+    return;
+  }
+  std::vector<int>& topics = ScratchTopics();
+  lanes_->RowTopics(paper, &topics);
+  std::vector<double>& sums = ScratchSums(R);
+  lanes_->RowSums(assignment.GroupVector(paper), paper, topics, sums.data());
+  const double mass = instance_->PaperMass(paper);
+  WGRAP_CHECK(mass > 0.0);
+  // Assignment::MarginalGain's arithmetic: sum / mass + bid bonus.
+  for (int r = 0; r < R; ++r) {
+    row[r] = instance_->IsConflict(r, paper)
+                 ? la::kTransportForbidden
+                 : sums[r] / mass + instance_->BidBonus(r, paper);
+  }
+}
 
 void GainCache::Initialize(const Assignment& assignment, ThreadPool* pool) {
   const int P = instance_->num_papers();
@@ -33,18 +77,15 @@ void GainCache::Initialize(const Assignment& assignment, ThreadPool* pool) {
   const int T = instance_->num_topics();
   gains_.assign(static_cast<size_t>(P) * R, 0.0);
   group_snapshot_ = Matrix(P, T);
-  // Exactly the entries a stage rebuild would compute, via the identical
-  // kernels; conflicts hold the forbidden marker permanently.
+  // Exactly the entries a stage rebuild would compute (ScoreFullRow keeps
+  // MarginalGain's bits); conflicts hold the forbidden marker permanently.
   pool->ParallelFor(0, P, kPaperGrain, [&](int64_t p64) {
     const int p = static_cast<int>(p64);
-    double* row = &gains_[static_cast<size_t>(p) * R];
-    for (int r = 0; r < R; ++r) {
-      row[r] = instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                           : assignment.MarginalGain(p, r);
-    }
+    ScoreFullRow(assignment, p);
     const double* gv = assignment.GroupVector(p);
     std::copy(gv, gv + T, group_snapshot_.Row(p));
   });
+  if (lanes_) lane_rows_ += P;
   initialized_ = true;
   ++full_builds_;
 }
@@ -54,6 +95,7 @@ void GainCache::RebuildReviewerIndex() {
       instance_->has_sparse_topics()
           ? sparse::TopicIndex::FromSparse(instance_->ReviewerSparseMatrix())
           : sparse::TopicIndex::FromMatrix(instance_->ReviewerMatrix());
+  if (lanes_) lanes_->Rebuild();
 }
 
 void GainCache::ApplyStructuralPatches(const Assignment& assignment,
@@ -69,18 +111,15 @@ void GainCache::ApplyStructuralPatches(const Assignment& assignment,
   dedup(&pending_cols_);
   // Full rows first: they reset the snapshot row, so any note-diff patch
   // for the same paper later this Refresh sees no spurious changes. The
-  // same kernels and conflict marker as Initialize, row-disjoint.
+  // same row scoring and conflict marker as Initialize, row-disjoint.
   pool->ParallelFor(0, static_cast<int64_t>(pending_rows_.size()),
                     /*grain=*/1, [&](int64_t i) {
     const int p = pending_rows_[i];
-    double* row = &gains_[static_cast<size_t>(p) * R];
-    for (int r = 0; r < R; ++r) {
-      row[r] = instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                           : assignment.MarginalGain(p, r);
-    }
+    ScoreFullRow(assignment, p);
     const double* gv = assignment.GroupVector(p);
     std::copy(gv, gv + T, group_snapshot_.Row(p));
   });
+  if (lanes_) lane_rows_ += static_cast<int64_t>(pending_rows_.size());
   patched_entries_ += static_cast<int64_t>(pending_rows_.size()) * R;
   // Full columns next (column-disjoint). A cell covered by both a row and
   // a column re-score is simply computed twice to the same double.
@@ -289,6 +328,17 @@ void GainCache::Refresh(const Assignment& assignment, ThreadPool* pool) {
           const int p = item.paper;
           const double* now = assignment.GroupVector(p);
           double* snap = group_snapshot_.Row(p);
+          if (lanes_) {
+            // Lane path: a changed group vector re-scores the whole row
+            // with one kernel call instead of walking the CSC columns — a
+            // lane row visits only the paper's support, and on dense
+            // storage each walked candidate would cost a T-topic call.
+            if (std::equal(now, now + T, snap)) continue;
+            std::copy(now, now + T, snap);
+            ScoreFullRow(assignment, p);
+            paper_patched[i] = num_reviewers_;
+            continue;
+          }
           // A changed topic invalidates reviewer r only when
           // r[t] > min(old max, new max): the Definition 8 per-topic term
           // is gated by the strict r[t] > g[t] test, so a reviewer at or
@@ -349,7 +399,10 @@ void GainCache::Refresh(const Assignment& assignment, ThreadPool* pool) {
         }
       });
   pending_.clear();
-  for (int64_t count : paper_patched) patched_entries_ += count;
+  for (int64_t count : paper_patched) {
+    patched_entries_ += count;
+    if (lanes_ && count > 0) ++lane_rows_;  // each was one lane row
+  }
 }
 
 void GainCache::AssembleStageProfit(const std::vector<int>& papers,
@@ -384,6 +437,18 @@ void GainCache::AssembleStageProfit(const std::vector<int>& papers,
       out[member] = la::kTransportForbidden;
     }
   });
+}
+
+void GainCache::PublishCounters() const {
+  static obs::Counter* const patched = obs::Registry::Global().GetCounter(
+      "wgrap_gain_cache_patched_cells_total");
+  if (patched) patched->Add(patched_entries_);
+  static obs::Counter* const builds = obs::Registry::Global().GetCounter(
+      "wgrap_gain_cache_full_builds_total");
+  if (builds) builds->Add(full_builds_);
+  static obs::Counter* const lane_rows = obs::Registry::Global().GetCounter(
+      "wgrap_gain_cache_lane_rows_total");
+  if (lane_rows) lane_rows->Add(lane_rows_);
 }
 
 int64_t GainCache::ScaledGain(int paper, int reviewer) const {

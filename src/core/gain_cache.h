@@ -12,8 +12,9 @@
 // the only entries that can change are (p, r) for r in the CSC columns
 // of Δ (sparse/topic_index.h), and every entry outside that set would be
 // recomputed to the *same double, bit for bit* by a full rebuild. The
-// cache therefore patches exactly that set with the identical kernels and
-// leaves the rest untouched, which is why `gains=incremental` equals
+// cache therefore re-scores that set (on the lane path below, the whole
+// row of a paper whose g→ changed) with bit-identical kernels and leaves
+// the rest untouched, which is why `gains=incremental` equals
 // `gains=rebuild` exactly — same scores, same assignments, at any thread
 // count (tests/gain_cache_test.cc).
 //
@@ -32,24 +33,43 @@
 // view is exposed through ScaledGain() and pinned by the equivalence
 // tests.
 //
-// Cost: a stage commit that changes Σ_p |Δ_p| topics costs
-// O(Σ_p Σ_{t∈Δ_p} degree(t)) gain kernels (fanned over the ThreadPool,
-// papers independent) plus an O(rows × R) assembly copy — versus the
-// rebuild's O(P·R) kernels per stage. On sparse instances (nnz/T ≤ 0.1)
-// that is a ≥3× cut in stage-profit maintenance (BM_GainCacheVsRebuild,
-// bench/BASELINES.md); on fully dense instances the column walks cover
-// every reviewer and the two modes cost about the same.
+// Row scoring: on dense topic storage with c, cP or cD, whole rows — the
+// initial build, the full-row structural patches, and the note-diff patch
+// of every paper whose group vector changed (no CSC walk) — are scored
+// with one core::GainLanes call (simd::MarginalGainLanes over a T×R
+// topic-major copy of the reviewer matrix, one SIMD lane per reviewer),
+// then finalized as lanes[r] / PaperMass(p) + BidBonus(r, p): the very
+// additions and the very arithmetic of Assignment::MarginalGain, so every
+// stored double keeps its bits. Such a row visits only the paper's
+// nonzero topics. Everywhere else the cache scores cell by cell with
+// Assignment::MarginalGain behind the CSC candidate walk: on sparse views
+// (where the walk finds a handful of candidates at low density; lane rows
+// alone made the 1%-density patches 1.8–2.8× slower in a prototype, and
+// no benchmark workload uses sparse views) and for cR, whose lane row
+// visits all T topics of every reviewer — on dense storage of 3%-density
+// profiles that made the note-diff patch 3× slower dispatched and 12×
+// slower on the scalar backend (BM_GainCacheVsRebuild, bench/BASELINES.md).
+//
+// Cost: a stage commit on the lane path costs one lane row,
+// O(R·nnz(p)) lane steps, per paper whose group vector changed; on the
+// cell path it costs O(Σ_p Σ_{t∈Δ_p} degree(t)) candidate work plus one
+// MarginalGain call per candidate. Papers are independent and fanned over
+// the ThreadPool; assembly is an O(rows × R) copy. The rebuild path costs
+// O(P·R) scalar kernel calls per stage. BM_GainCacheVsRebuild and
+// BM_SdgaStage in bench/BASELINES.md record both.
 #ifndef WGRAP_CORE_GAIN_CACHE_H_
 #define WGRAP_CORE_GAIN_CACHE_H_
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/assignment.h"
+#include "core/gain_lanes.h"
 #include "core/instance.h"
 #include "sparse/topic_index.h"
 
@@ -137,7 +157,18 @@ class GainCache {
 
   /// Entries re-scored by Refresh patches (excludes the initial build) —
   /// the targeted-invalidation tests and BM_GainCacheVsRebuild read this.
+  /// Whole-row and whole-column re-scores (structural patches, lane-row
+  /// note-diff patches) count all their cells, COI cells included; a
+  /// candidate-walk patch counts the non-COI candidates it re-scored.
   int64_t patched_entries() const { return patched_entries_; }
+  /// Rows scored by one GainLanes kernel call, the initial build included
+  /// (always 0 on sparse views and for cR, which score cell by cell).
+  int64_t lane_rows() const { return lane_rows_; }
+
+  /// Adds this cache's work to the process counters
+  /// wgrap_gain_cache_{patched_cells,full_builds,lane_rows}_total (once
+  /// per solver run, when the cache is dropped).
+  void PublishCounters() const;
   /// Completed full builds (1 after the first Refresh).
   int64_t full_builds() const { return full_builds_; }
 
@@ -186,7 +217,12 @@ class GainCache {
     pending_.emplace_back(paper, reviewer);
   }
   void Initialize(const Assignment& assignment, ThreadPool* pool);
+  /// Rebuilds the CSC index and the lanes' topic-major copy.
   void RebuildReviewerIndex();
+  /// Re-scores every entry of row `paper` (COI cells get the forbidden
+  /// marker): one lane row when lanes_ is set, else one MarginalGain call
+  /// per cell. Safe to call for distinct papers concurrently.
+  void ScoreFullRow(const Assignment& assignment, int paper);
   /// Processes pending_rows_/pending_cols_/pending_cells_ (Refresh phase 1,
   /// before the note-diff patch).
   void ApplyStructuralPatches(const Assignment& assignment, ThreadPool* pool);
@@ -198,6 +234,9 @@ class GainCache {
   const Instance* instance_;
   int num_reviewers_ = 0;
   sparse::TopicIndex reviewer_index_;  // topic → reviewers carrying it
+  /// Set on dense topic storage with c, cP or cD: rows are scored as lane
+  /// rows (see the file comment). Unset: cell-by-cell scoring.
+  std::optional<GainLanes> lanes_;
   /// P×R gain doubles; the snapshot holds the group vectors they were
   /// last scored against (the diff base for changed-topic detection).
   std::vector<double> gains_;
@@ -211,6 +250,7 @@ class GainCache {
   bool initialized_ = false;
   int64_t patched_entries_ = 0;
   int64_t full_builds_ = 0;
+  int64_t lane_rows_ = 0;
 };
 
 /// Local-search companion: caches, per paper, the δp "leave one member

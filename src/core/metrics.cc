@@ -6,9 +6,8 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/matrix.h"
+#include "core/gain_lanes.h"
 #include "obs/trace.h"
-#include "simd/kernels.h"
 
 namespace wgrap::core {
 
@@ -18,46 +17,21 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance) {
   const int P = instance.num_papers();
   const int R = instance.num_reviewers();
   const int T = instance.num_topics();
-  const ScoringFunction f = instance.scoring();
-  // Topic-major copy of the dense reviewer matrix: row t holds every
-  // reviewer's weight on topic t, so one kernel call scores all R
-  // candidates with one SIMD lane per reviewer. Built per call (not
-  // cached on the instance, which the online-update path would then have
-  // to patch); it is O(R·T) against the O(P·δp·R·|topics|) scan below.
-  const Matrix& reviewers = instance.ReviewerMatrix();
-  std::vector<double> by_topic(static_cast<size_t>(T) * R);
-  for (int r = 0; r < R; ++r) {
-    const double* row = reviewers.Row(r);
-    for (int t = 0; t < T; ++t) {
-      by_topic[static_cast<size_t>(t) * R + r] = row[t];
-    }
-  }
+  // Built per call (not cached on the instance, which the online-update
+  // path would then have to patch); the O(R·T) transpose is small against
+  // the O(P·δp·R·|topics|) scan below.
+  const GainLanes lanes(&instance);
   std::vector<int> topics;
   topics.reserve(T);
   std::vector<double> gains(R);
   std::vector<char> eligible(R);
   for (int p = 0; p < P; ++p) {
-    const double* paper = instance.PaperVector(p);
     const double mass = instance.PaperMass(p);
     WGRAP_CHECK(mass > 0.0);
-    // The topics whose gated term can be nonzero. For c, cP and cD,
-    // f(x, 0) is ±0.0 for every valid (finite, non-negative) x, so each
-    // gated term f(r, 0) - f(g, 0) at a zero-weight topic is ±0.0, and
-    // adding ±0.0 leaves the running gain unchanged (it starts at +0.0
-    // and a sum is -0.0 only when both addends are): skipping those
-    // topics gives the same bits as the full scan. cR has f(x, 0) = x,
-    // so it visits every topic.
-    topics.clear();
-    for (int t = 0; t < T; ++t) {
-      if (f == ScoringFunction::kReviewerCoverage || paper[t] != 0.0) {
-        topics.push_back(t);
-      }
-    }
+    lanes.RowTopics(p, &topics);
     for (int r = 0; r < R; ++r) eligible[r] = !instance.IsConflict(r, p);
     for (int pick = 0; pick < instance.group_size(); ++pick) {
-      simd::MarginalGainLanes(f, ideal.GroupVector(p), paper, topics.data(),
-                              static_cast<int>(topics.size()),
-                              by_topic.data(), R, gains.data());
+      lanes.RowSums(ideal.GroupVector(p), p, topics, gains.data());
       // Assignment::MarginalGain's arithmetic (sum / mass + bid bonus)
       // and the old per-reviewer scan's rule: the lowest-index strict
       // maximum over eligible reviewers not yet in the group.

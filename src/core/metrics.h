@@ -21,14 +21,11 @@ namespace wgrap::core {
 /// Assignment::MarginalGain over the eligible reviewers (not in the group,
 /// no COI), i.e. the same groups, PaperScore and TotalScore bits as a
 /// per-reviewer MarginalGain scan. The gains come from one
-/// simd::MarginalGainLanes call per pick over a per-call topic-major copy
-/// of the dense reviewer matrix (lane r adds exactly MarginalGainSum's
-/// terms for reviewer r, in ascending topic order); for c, cP and cD the
-/// call lists only the paper's nonzero topics, whose omitted terms are
-/// ±0.0 and cannot change the sum (metrics.cc). Sparse views do not
-/// matter: the instance always holds the dense matrices, and sparse gains
-/// are bit-identical to dense ones by contract. O(P·δp·R·|topics|) after
-/// an O(R·T) transpose. Traced as the `ideal_bound` span.
+/// core::GainLanes row per pick (simd::MarginalGainLanes over a per-call
+/// topic-major copy of the dense reviewer matrix; core/gain_lanes.h holds
+/// the exactness argument, the skipped zero-weight topics included).
+/// O(P·δp·R·|topics|) after an O(R·T) transpose. Traced as the
+/// `ideal_bound` span.
 Result<Assignment> BuildIdealAssignment(const Instance& instance);
 
 /// c(A) / c(AI), or nullopt when c(AI) is not positive — no reviewer

@@ -147,8 +147,9 @@ inline double MarginalGainSum(core::ScoringFunction f, const double* group,
 /// out[r] has the bits of MarginalGainSum(f, group, reviewer r, paper, n).
 /// Dropping a topic from the list is exact whenever every one of its
 /// gated terms is ±0.0 (adding ±0.0 to a sum that starts at +0.0 never
-/// changes it); core::BuildIdealAssignment relies on that for paper
-/// weights of zero.
+/// changes it); its users rely on that for paper weights of zero. Its one
+/// caller is core::GainLanes, behind core::BuildIdealAssignment (every
+/// greedy pick) and the GainCache's whole-row scoring.
 inline void MarginalGainLanes(core::ScoringFunction f, const double* group,
                               const double* paper, const int* topics,
                               int num_topics, const double* by_topic,

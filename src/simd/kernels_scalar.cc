@@ -2,7 +2,8 @@
 // before the kernel layer existed (core/scoring.cc, la/auction.cc), moved
 // here verbatim so the AVX2 backend has a single source of truth to be
 // byte-identical against — plus MarginalGainLanes, the reviewer-per-lane
-// form of MarginalGainSum that core/metrics.cc's ideal bound runs on.
+// form of MarginalGainSum that the ideal bound and the gain cache's rows
+// run on.
 #include <algorithm>
 #include <cstddef>
 

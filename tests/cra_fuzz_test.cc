@@ -29,12 +29,21 @@ struct FuzzCase {
   uint64_t seed;
 
   std::string Name() const {
-    return "r" + std::to_string(reviewers) + "_p" + std::to_string(papers) +
-           "_g" + std::to_string(group_size) + "_w" +
-           std::to_string(extra_workload) + "_" +
-           ScoringFunctionName(scoring) +
-           (conflict_rate > 0 ? "_coi" : "") + (with_bids ? "_bids" : "") +
-           "_s" + std::to_string(seed);
+    std::string name = "r";
+    name.append(std::to_string(reviewers))
+        .append("_p")
+        .append(std::to_string(papers))
+        .append("_g")
+        .append(std::to_string(group_size))
+        .append("_w")
+        .append(std::to_string(extra_workload))
+        .append("_")
+        .append(ScoringFunctionName(scoring))
+        .append(conflict_rate > 0 ? "_coi" : "")
+        .append(with_bids ? "_bids" : "")
+        .append("_s")
+        .append(std::to_string(seed));
+    return name;
   }
 };
 
@@ -155,7 +164,7 @@ TEST_P(JraFuzzTest, BbaMatchesBfs) {
   params.scoring = c.scoring;
   auto instance = Instance::FromDataset(*dataset, params);
   ASSERT_TRUE(instance.ok());
-  Rng rng(c.seed ^ 0x70 + 1);
+  Rng rng(c.seed ^ (0x70 + 1));
   for (int r = 0; r < c.reviewers; ++r) {
     if (rng.NextDouble() < c.conflict_rate) instance->AddConflict(r, 0);
   }

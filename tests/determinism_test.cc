@@ -86,9 +86,9 @@ TEST(DeterminismTest, SolversAreThreadCountInvariant) {
     SCOPED_TRACE(algo);
     SolverRunOptions one;
     one.seed = 77;
-    one.extra["threads"] = "1";
+    one.extra = {{"threads", "1"}};
     SolverRunOptions eight = one;
-    eight.extra["threads"] = "8";
+    eight.extra = {{"threads", "8"}};
     auto a = registry.SolveCra(algo, instance, one);
     auto b = registry.SolveCra(algo, instance, eight);
     ASSERT_TRUE(a.ok()) << a.status().ToString();

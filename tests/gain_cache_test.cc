@@ -23,27 +23,88 @@
 namespace wgrap::core {
 namespace {
 
-// `topic_density` < 1 generates genuinely sparse profiles (and the
-// instance carries CSR views); 1.0 keeps the legacy dense generator and
-// drops any views so the dense path is exercised even under the CI runs
-// that force WGRAP_SPARSE_TOPICS=1.
+// The generated reviewer pool a test runs on. `topic_density` < 1
+// generates genuinely sparse profiles; the instance carries CSR views
+// when `sparse_views` is set (and the density is below 1). Without views
+// the dense path runs even under the CI runs that force
+// WGRAP_SPARSE_TOPICS=1 — on density < 1 data that is dense storage with
+// zero-weight topics, which lane rows skip for c, cP and cD.
+struct PoolShape {
+  int reviewers = 14;
+  int papers = 10;
+  int group_size = 3;
+  uint64_t seed = 1;
+  double topic_density = 1.0;
+  bool sparse_views = true;
+  int workload = 0;
+  int num_topics = 12;
+  ScoringFunction scoring = ScoringFunction::kWeightedCoverage;
+};
+
+Instance MakePool(const PoolShape& shape) {
+  data::SyntheticDblpConfig config;
+  config.num_topics = shape.num_topics;
+  config.seed = shape.seed;
+  config.topic_density = shape.topic_density;
+  auto dataset =
+      data::GenerateReviewerPool(shape.reviewers, shape.papers, config);
+  WGRAP_CHECK(dataset.ok());
+  InstanceParams params;
+  params.group_size = shape.group_size;
+  params.reviewer_workload = shape.workload;
+  params.scoring = shape.scoring;
+  const bool views = shape.sparse_views && shape.topic_density < 1.0;
+  params.sparse_topics = views;
+  auto instance = Instance::FromDataset(*dataset, params);
+  WGRAP_CHECK(instance.ok());
+  if (!views) instance->DropSparseTopics();
+  return std::move(instance).value();
+}
+
 Instance PoolInstance(int reviewers, int papers, int group_size,
                       uint64_t seed, double topic_density = 1.0,
                       int workload = 0) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = 12;
-  config.seed = seed;
-  config.topic_density = topic_density;
-  auto dataset = data::GenerateReviewerPool(reviewers, papers, config);
-  WGRAP_CHECK(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  params.reviewer_workload = workload;
-  params.sparse_topics = topic_density < 1.0;
-  auto instance = Instance::FromDataset(*dataset, params);
-  WGRAP_CHECK(instance.ok());
-  if (topic_density >= 1.0) instance->DropSparseTopics();
-  return std::move(instance).value();
+  PoolShape shape;
+  shape.reviewers = reviewers;
+  shape.papers = papers;
+  shape.group_size = group_size;
+  shape.seed = seed;
+  shape.topic_density = topic_density;
+  shape.workload = workload;
+  return MakePool(shape);
+}
+
+// Random bids in [0, 1) at weight 0.5.
+void AddBids(Instance* instance, uint64_t seed) {
+  Matrix bids(instance->num_papers(), instance->num_reviewers());
+  Rng rng(seed);
+  for (int p = 0; p < bids.rows(); ++p) {
+    for (int r = 0; r < bids.cols(); ++r) bids(p, r) = rng.NextDouble();
+  }
+  WGRAP_CHECK(instance->SetBids(std::move(bids), 0.5).ok());
+}
+
+// Every cached entry — the stored double and its scaled integer — equals
+// a cache built from scratch against `assignment`, and every non-COI
+// entry equals the scalar oracle Assignment::MarginalGain.
+void ExpectCacheMatchesFreshBuild(const GainCache& cache,
+                                  const Assignment& assignment,
+                                  ThreadPool* pool) {
+  const Instance& instance = assignment.instance();
+  GainCache fresh(&instance);
+  fresh.Refresh(assignment, pool);
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    for (int r = 0; r < instance.num_reviewers(); ++r) {
+      if (!instance.IsConflict(r, p)) {
+        ASSERT_EQ(cache.Gain(p, r), assignment.MarginalGain(p, r))
+            << "(" << p << ", " << r << ")";
+      }
+      ASSERT_EQ(cache.Gain(p, r), fresh.Gain(p, r))
+          << "(" << p << ", " << r << ")";
+      ASSERT_EQ(cache.ScaledGain(p, r), fresh.ScaledGain(p, r))
+          << "(" << p << ", " << r << ")";
+    }
+  }
 }
 
 void ExpectSameAssignment(const Assignment& a, const Assignment& b) {
@@ -55,26 +116,49 @@ void ExpectSameAssignment(const Assignment& a, const Assignment& b) {
 
 // The headline contract: for every solver that builds stage profits or
 // replacement scores, `gains=incremental` reproduces `gains=rebuild`
-// exactly — dense and sparse topics, 1 and 8 threads.
+// exactly — every scoring function, dense storage and sparse views at two
+// densities, with and without bids and conflicts, at 1 and 8 threads.
 TEST(GainCacheTest, SolversAreBitIdenticalAcrossGainModes) {
   const auto& registry = SolverRegistry::Default();
-  for (double density : {1.0, 0.25}) {
-    Instance instance = PoolInstance(14, 10, 3, 401, density);
-    for (const char* algo : {"sdga", "sdga-sra", "sdga-ls"}) {
-      for (const char* threads : {"1", "8"}) {
-        SCOPED_TRACE(std::string(algo) + " density=" +
-                     std::to_string(density) + " threads=" + threads);
-        SolverRunOptions rebuild;
-        rebuild.seed = 77;
-        rebuild.extra["threads"] = threads;
-        rebuild.extra["gains"] = "rebuild";
-        SolverRunOptions incremental = rebuild;
-        incremental.extra["gains"] = "incremental";
-        auto a = registry.SolveCra(algo, instance, rebuild);
-        auto b = registry.SolveCra(algo, instance, incremental);
-        ASSERT_TRUE(a.ok()) << a.status().ToString();
-        ASSERT_TRUE(b.ok()) << b.status().ToString();
-        ExpectSameAssignment(*a, *b);
+  for (ScoringFunction scoring :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    for (double density : {1.0, 0.25, 0.03}) {
+      for (bool bids : {false, true}) {
+        for (bool conflicts : {false, true}) {
+          PoolShape shape;
+          shape.seed = 401;
+          shape.topic_density = density;
+          shape.scoring = scoring;
+          Instance instance = MakePool(shape);
+          if (bids) AddBids(&instance, 9);
+          if (conflicts) {
+            for (int p = 0; p < instance.num_papers(); ++p) {
+              instance.AddConflict((3 * p) % instance.num_reviewers(), p);
+              instance.AddConflict((5 * p + 1) % instance.num_reviewers(), p);
+            }
+          }
+          for (const char* algo : {"sdga", "sdga-sra", "sdga-ls"}) {
+            for (const char* threads : {"1", "8"}) {
+              SCOPED_TRACE(std::string(algo) + " scoring=" +
+                           ScoringFunctionName(scoring) + " density=" +
+                           std::to_string(density) + " bids=" +
+                           std::to_string(bids) + " coi=" +
+                           std::to_string(conflicts) + " threads=" + threads);
+              SolverRunOptions rebuild;
+              rebuild.seed = 77;
+              rebuild.extra["threads"] = threads;
+              rebuild.extra["gains"] = "rebuild";
+              SolverRunOptions incremental = rebuild;
+              incremental.extra["gains"] = "incremental";
+              auto a = registry.SolveCra(algo, instance, rebuild);
+              auto b = registry.SolveCra(algo, instance, incremental);
+              ASSERT_TRUE(a.ok()) << a.status().ToString();
+              ASSERT_TRUE(b.ok()) << b.status().ToString();
+              ExpectSameAssignment(*a, *b);
+            }
+          }
+        }
       }
     }
   }
@@ -99,29 +183,6 @@ TEST(GainCacheTest, ModesAgreeWithConflictsAndUnevenWorkload) {
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(std::count(b->GroupFor(0).begin(), b->GroupFor(0).end(), r), 0)
         << "conflicted reviewer " << r << " assigned";
-  }
-}
-
-// Bids add a modular per-pair term to every gain; both modes must carry it.
-TEST(GainCacheTest, ModesAgreeWithBids) {
-  Instance instance = PoolInstance(12, 8, 3, 403);
-  Matrix bids(instance.num_papers(), instance.num_reviewers());
-  Rng rng(9);
-  for (int p = 0; p < bids.rows(); ++p) {
-    for (int r = 0; r < bids.cols(); ++r) bids(p, r) = rng.NextDouble();
-  }
-  ASSERT_TRUE(instance.SetBids(std::move(bids), 0.5).ok());
-  for (const char* algo : {"sdga", "sdga-ls"}) {
-    SCOPED_TRACE(algo);
-    SolverRunOptions rebuild;
-    rebuild.extra["gains"] = "rebuild";
-    SolverRunOptions incremental;
-    incremental.extra["gains"] = "incremental";
-    const auto& registry = SolverRegistry::Default();
-    auto a = registry.SolveCra(algo, instance, rebuild);
-    auto b = registry.SolveCra(algo, instance, incremental);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSameAssignment(*a, *b);
   }
 }
 
@@ -221,6 +282,66 @@ TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
     for (int r = 0; r < instance.num_reviewers(); ++r) {
       ASSERT_EQ(cache.ScaledGain(p, r), fresh.ScaledGain(p, r))
           << "(" << p << ", " << r << ")";
+    }
+  }
+}
+
+// Add and removal epochs for every scoring function, on sparse views and
+// on dense storage of sparse data (papers with zero-weight topics, which
+// lane rows skip for c, cP and cD; cR scores cell by cell): the patched
+// cache equals a fresh build cell by cell.
+TEST(GainCacheTest, EpochPatchesMatchFreshBuildForEveryScoring) {
+  for (ScoringFunction scoring :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    for (bool views : {true, false}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(ScoringFunctionName(scoring) +
+                     (views ? " sparse views" : " dense storage") +
+                     " threads=" + std::to_string(threads));
+        PoolShape shape;
+        shape.reviewers = 16;
+        shape.papers = 12;
+        shape.seed = 410;
+        shape.topic_density = 0.3;
+        shape.sparse_views = views;
+        shape.scoring = scoring;
+        Instance instance = MakePool(shape);
+        AddBids(&instance, 11);
+        instance.AddConflict(/*reviewer=*/2, /*paper=*/1);
+        ThreadPool pool(threads);
+
+        // Add epoch: one committed reviewer per paper on an empty cache.
+        Assignment assignment(&instance);
+        GainCache cache(&instance);
+        cache.Refresh(assignment, &pool);
+        for (int p = 0; p < instance.num_papers(); ++p) {
+          const int r = (p + 3) % instance.num_reviewers();
+          ASSERT_TRUE(assignment.Add(p, r).ok());
+          cache.NoteAdd(p, r);
+        }
+        cache.Refresh(assignment, &pool);
+        EXPECT_EQ(cache.full_builds(), 1);
+        // Lane rows only on dense storage, and never for cR.
+        EXPECT_EQ(cache.lane_rows() > 0,
+                  !views && scoring != ScoringFunction::kReviewerCoverage);
+        ExpectCacheMatchesFreshBuild(cache, assignment, &pool);
+
+        // Removal epoch on a solved assignment.
+        auto solved = SolveCraSdga(instance);
+        ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+        Assignment complete = *solved;
+        GainCache round(&instance);
+        round.Refresh(complete, &pool);
+        for (int p = 0; p < instance.num_papers(); ++p) {
+          const int victim = complete.GroupFor(p)[p % 3];
+          ASSERT_TRUE(complete.Remove(p, victim).ok());
+          round.NoteRemove(p, victim);
+        }
+        round.Refresh(complete, &pool);
+        EXPECT_EQ(round.full_builds(), 1);
+        ExpectCacheMatchesFreshBuild(round, complete, &pool);
+      }
     }
   }
 }

@@ -530,6 +530,63 @@ TEST(UpdateEquivalencePureRemoval, ResolveMatchesFreshBuildExactly) {
                               ResolveOptions(1, "sra"));
 }
 
+// Dense topic storage re-scores whole rows with the lane kernel, which
+// reads the cache's topic-major copy of the reviewer matrix. A reviewer
+// add, retopic and removal must each rebuild that copy: after every op a
+// removal epoch (one noted victim per paper) sends every touched paper
+// through a lane row, and the refreshed cache must equal a fresh build
+// bit for bit.
+TEST(UpdateEquivalenceReviewerOps, DenseLaneRowsSeeReviewerChanges) {
+  const FuzzInstanceConfig config = BaseConfig(/*seed=*/4343, false);
+  const InstanceParams params = MakeFuzzParams(config);
+  auto built = MakeFuzzInstance(config);
+  ASSERT_TRUE(built.ok());
+  Instance instance = *std::move(built);
+  instance.DropSparseTopics();  // dense even when WGRAP_SPARSE_TOPICS forces
+  GroundTruth gt = MakeGroundTruth(config);
+
+  ThreadPool pool(1);
+  auto solved = SolverRegistry::Default().SolveCra("sdga", instance);
+  ASSERT_TRUE(solved.ok());
+  Assignment assignment = *std::move(solved);
+  GainCache cache(&instance);
+  cache.Refresh(assignment, &pool);
+
+  InstanceUpdater updater(&instance, params);
+  updater.TrackAssignment(&assignment);
+  updater.TrackGainCache(&cache);
+
+  Rng rng(0x1a4e);
+  const int T = config.num_topics;
+  const std::vector<InstanceUpdate> ops = {
+      InstanceUpdate::AddReviewer(RandomTopics(&rng, T)),
+      InstanceUpdate::SetReviewerTopics(0, RandomTopics(&rng, T)),
+      InstanceUpdate::RemoveReviewer(1)};
+  for (const InstanceUpdate& update : ops) {
+    SCOPED_TRACE(update.ToString());
+    auto report = updater.Apply(update);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ApplyToGroundTruth(&gt, update);
+    cache.Refresh(assignment, &pool);
+    const int64_t lane_rows = cache.lane_rows();
+    for (int p = 0; p < instance.num_papers(); ++p) {
+      if (assignment.GroupFor(p).empty()) continue;
+      const int victim = assignment.GroupFor(p).front();
+      ASSERT_TRUE(assignment.Remove(p, victim).ok());
+      cache.NoteRemove(p, victim);
+    }
+    cache.Refresh(assignment, &pool);
+    EXPECT_GT(cache.lane_rows(), lane_rows);
+
+    const Instance fresh = BuildFresh(gt, params);
+    Assignment fresh_clone = CloneOnto(assignment, fresh);
+    GainCache fresh_cache(&fresh);
+    fresh_cache.Refresh(fresh_clone, &pool);
+    ExpectCachesBitEqual(cache, fresh_cache, instance.num_papers(),
+                         instance.num_reviewers());
+  }
+}
+
 // --- validation and reporting ---------------------------------------------
 
 TEST(InstanceUpdaterValidation, RejectedOpsLeaveTheInstanceUntouched) {

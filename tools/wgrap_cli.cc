@@ -383,6 +383,7 @@ int CmdSolve(const Flags& flags) {
             "wgrap_lap_auction_bids_total", "wgrap_lap_auction_widen_total",
             "wgrap_lap_auction_reverse_sweeps_total",
             "wgrap_gain_cache_patched_cells_total",
+            "wgrap_gain_cache_lane_rows_total",
             "wgrap_gain_cache_rebuilt_cells_total",
             "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total"}) {
         obs::Counter* counter = metrics.GetCounter(name);
